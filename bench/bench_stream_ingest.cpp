@@ -1,20 +1,18 @@
 // Streaming ingestion benchmark: how fast the front end turns a 1 Hz
-// per-node feed into triggered, feature-ready windows, and what the
-// incremental O(M) emit buys over recomputing each window from scratch.
+// per-node feed into triggered raw windows.
 //
 // The sweep replays synthetic multi-node telemetry through StreamIngestor
 // across window-length x stride configurations and reports ingest
-// throughput (rows/sec), the incremental emit cost per window, the batch
-// recompute cost per window (preprocess_metric_column + fold, i.e. what a
-// naive trigger would pay), and their ratio.
+// throughput (rows/sec) and windows emitted.
 //
 // --smoke runs the CI gate instead: a T=60 replay (clean + a gapped,
-// NaN-ridden, duplicated segment) asserting
-//   * parity per emitted window — mean/var/min/max bit-identical to
-//     StreamIngestor::batch_features, quantiles bit-identical under
-//     kQuantileExactCap (T=60 windows always are) and delta-gated beyond;
-//   * the incremental emit is >= 5x faster than batch recomputing the
-//     same windows;
+// NaN-ridden segment) asserting
+//   * the feed has the intended shape — windows emit and dropouts leave
+//     gaps;
+//   * row conservation — accepted + duplicates + late_dropped equals the
+//     rows pushed;
+//   * window conservation — after a flush, emitted + dropped + flushed
+//     equals the windows the feed opened;
 //   * nonzero ingest throughput.
 // Results (both modes) land in BENCH_stream.json for the CI artifact.
 //
@@ -23,9 +21,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alba.hpp"
@@ -70,47 +69,12 @@ std::vector<std::vector<double>> make_rows(const MetricRegistry& registry,
   return rows;
 }
 
-// Exact equality for finite feature values; == rather than memcmp so a
-// +0.0/-0.0 bit-pattern difference (the one value-equal pair the sorted
-// buffer may order differently from std::sort) is not a false mismatch.
-bool values_equal(double a, double b) noexcept { return a == b; }
-
-// Parity against the batch reference, mirroring the test-suite contract.
-// Returns the number of feature mismatches (0 = parity holds).
-std::size_t parity_mismatches(const TriggeredWindow& w,
-                              const MetricRegistry& registry,
-                              const PreprocessConfig& preprocess) {
-  const std::vector<double> batch =
-      StreamIngestor::batch_features(w.raw, registry, preprocess);
-  if (batch.size() != w.features.size()) return batch.size();
-  const std::size_t processed_len =
-      w.raw.rows() - static_cast<std::size_t>(preprocess.trim_head) -
-      static_cast<std::size_t>(preprocess.trim_tail) - 1;
-  const bool exact_quantiles = processed_len <= kQuantileExactCap;
-  std::size_t mismatches = 0;
-  for (std::size_t m = 0; m < registry.size(); ++m) {
-    const std::size_t base = m * kStreamFeaturesPerMetric;
-    for (std::size_t f = 0; f < 4; ++f) {
-      if (!values_equal(w.features[base + f], batch[base + f])) ++mismatches;
-    }
-    const double range = batch[base + 3] - batch[base + 2];
-    const double tol = kQuantileDeltaGate * range + 1e-9;
-    for (std::size_t f = 4; f < kStreamFeaturesPerMetric; ++f) {
-      if (exact_quantiles) {
-        if (!values_equal(w.features[base + f], batch[base + f])) ++mismatches;
-      } else if (std::abs(w.features[base + f] - batch[base + f]) > tol) {
-        ++mismatches;
-      }
-    }
-  }
-  return mismatches;
-}
-
 struct ReplayResult {
-  std::vector<TriggeredWindow> windows;
-  IngestStats stats;          // summed over nodes
+  std::size_t windows = 0;
+  IngestStats stats;          // summed over nodes, after the final flush
   double replay_seconds = 0;  // wall clock for the whole replay
   std::uint64_t rows_pushed = 0;
+  std::uint64_t windows_opened = 0;  // counted from the feed shape
 };
 
 ReplayResult replay(const MetricRegistry& registry,
@@ -124,36 +88,37 @@ ReplayResult replay(const MetricRegistry& registry,
         make_rows(registry, rows_per_node, seed + n, nan_cell_rate));
   }
 
+  const auto dropped = [gap_every](std::size_t t, std::size_t n) {
+    return gap_every != 0 && (t + n) % gap_every == 3;  // dropouts
+  };
+
   StreamIngestor ingestor(registry, cfg);
   ReplayResult result;
   const auto t0 = Clock::now();
   for (std::size_t t = 0; t < rows_per_node; ++t) {
     for (std::size_t n = 0; n < nodes; ++n) {
-      if (gap_every != 0 && (t + n) % gap_every == 3) continue;  // dropouts
-      for (TriggeredWindow& w :
-           ingestor.push(static_cast<int>(n), t, feeds[n][t])) {
-        result.windows.push_back(std::move(w));
-      }
+      if (dropped(t, n)) continue;
+      result.windows +=
+          ingestor.push(static_cast<int>(n), t, feeds[n][t]).size();
       ++result.rows_pushed;
     }
   }
   result.replay_seconds = seconds_since(t0);
+  ingestor.flush();
   result.stats = ingestor.total_stats();
-  return result;
-}
 
-// What a naive trigger pays: recompute each emitted window's features from
-// its raw matrix via the batch path.
-double time_batch_recompute(const std::vector<TriggeredWindow>& windows,
-                            const MetricRegistry& registry,
-                            const PreprocessConfig& preprocess) {
-  const auto t0 = Clock::now();
-  for (const TriggeredWindow& w : windows) {
-    volatile double sink =
-        StreamIngestor::batch_features(w.raw, registry, preprocess)[0];
-    (void)sink;
+  // Windows open every `stride` rows from a node's first delivered row to
+  // its last; no dropout run is long enough to reset a node.
+  for (std::size_t n = 0; n < nodes; ++n) {
+    std::size_t first = 0;
+    while (first < rows_per_node && dropped(first, n)) ++first;
+    std::size_t last = rows_per_node;
+    while (last > first && dropped(last - 1, n)) --last;
+    if (first < last) {
+      result.windows_opened += (last - 1 - first) / cfg.stride + 1;
+    }
   }
-  return seconds_since(t0);
+  return result;
 }
 
 struct BenchRow {
@@ -163,9 +128,6 @@ struct BenchRow {
   std::uint64_t rows = 0;
   std::size_t windows = 0;
   double rows_per_sec = 0;
-  double emit_us_per_window = 0;
-  double batch_us_per_window = 0;
-  double speedup = 0;
 };
 
 void write_json(const std::vector<BenchRow>& rows, const char* path) {
@@ -177,41 +139,24 @@ void write_json(const std::vector<BenchRow>& rows, const char* path) {
        << ", \"window_length\": " << r.window_length
        << ", \"stride\": " << r.stride << ", \"rows\": " << r.rows
        << ", \"windows\": " << r.windows
-       << ", \"rows_per_sec\": " << r.rows_per_sec
-       << ", \"emit_us_per_window\": " << r.emit_us_per_window
-       << ", \"batch_us_per_window\": " << r.batch_us_per_window
-       << ", \"emit_speedup\": " << r.speedup << "}"
+       << ", \"rows_per_sec\": " << r.rows_per_sec << "}"
        << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   os << "]\n";
 }
 
-BenchRow measure(const MetricRegistry& registry, const StreamIngestConfig& cfg,
-                 std::size_t nodes, std::size_t rows_per_node,
-                 std::uint64_t seed) {
-  const ReplayResult r =
-      replay(registry, cfg, nodes, rows_per_node, seed,
-             /*nan_cell_rate=*/0.02, /*gap_every=*/0);
-  const double batch_seconds =
-      time_batch_recompute(r.windows, registry, cfg.preprocess);
+BenchRow bench_row(std::string label, const StreamIngestConfig& cfg,
+                   const ReplayResult& r) {
   BenchRow row;
-  row.label = strformat("L=%zu/S=%zu", cfg.window_length, cfg.stride);
+  row.label = std::move(label);
   row.window_length = cfg.window_length;
   row.stride = cfg.stride;
   row.rows = r.rows_pushed;
-  row.windows = r.windows.size();
+  row.windows = r.windows;
   row.rows_per_sec =
-      r.replay_seconds > 0 ? static_cast<double>(r.rows_pushed) /
-                                 r.replay_seconds
-                           : 0.0;
-  if (!r.windows.empty()) {
-    const double n = static_cast<double>(r.windows.size());
-    row.emit_us_per_window = 1e6 * r.stats.emit_seconds / n;
-    row.batch_us_per_window = 1e6 * batch_seconds / n;
-  }
-  row.speedup = r.stats.emit_seconds > 0
-                    ? batch_seconds / r.stats.emit_seconds
-                    : 0.0;
+      r.replay_seconds > 0
+          ? static_cast<double>(r.rows_pushed) / r.replay_seconds
+          : 0.0;
   return row;
 }
 
@@ -233,61 +178,29 @@ int run_smoke(const MetricRegistry& registry, std::uint64_t seed) {
   const ReplayResult r = replay(registry, cfg, /*nodes=*/4,
                                 /*rows_per_node=*/3000, seed,
                                 /*nan_cell_rate=*/0.03, /*gap_every=*/97);
+  const BenchRow row = bench_row("smoke/T=60", cfg, r);
+  const IngestStats& s = r.stats;
 
-  check(!r.windows.empty(), "replay emitted no windows");
-  check(r.stats.missing_rows > 0, "dropouts injected no gaps (feed inert?)");
+  check(r.windows > 0, "replay emitted no windows");
+  check(s.missing_rows > 0, "dropouts injected no gaps (feed inert?)");
+  check(s.accepted + s.duplicates + s.late_dropped == r.rows_pushed,
+        "accepted + duplicates + late_dropped != rows pushed");
+  check(s.windows_emitted == r.windows,
+        "windows_emitted != windows returned by push");
+  check(s.windows_emitted + s.windows_dropped + s.windows_flushed ==
+            r.windows_opened,
+        "emitted + dropped + flushed windows != windows opened");
 
-  std::size_t mismatched_windows = 0;
-  for (const TriggeredWindow& w : r.windows) {
-    if (parity_mismatches(w, registry, cfg.preprocess) != 0) {
-      ++mismatched_windows;
-    }
-  }
-  check(mismatched_windows == 0,
-        "incremental features diverged from the batch reference");
+  std::printf("[smoke] %s\n", format_ingest_summary(s).c_str());
+  std::printf("[smoke] %zu windows (T=%zu) of %llu opened, %llu rows at "
+              "%.0f rows/s\n",
+              r.windows, cfg.window_length,
+              static_cast<unsigned long long>(r.windows_opened),
+              static_cast<unsigned long long>(r.rows_pushed),
+              row.rows_per_sec);
 
-  const double batch_seconds =
-      time_batch_recompute(r.windows, registry, cfg.preprocess);
-  const double speedup = r.stats.emit_seconds > 0
-                             ? batch_seconds / r.stats.emit_seconds
-                             : 0.0;
-  const double rows_per_sec =
-      r.replay_seconds > 0
-          ? static_cast<double>(r.rows_pushed) / r.replay_seconds
-          : 0.0;
+  check(row.rows_per_sec > 0.0, "ingest throughput is zero");
 
-  std::printf("[smoke] %s\n", format_ingest_summary(r.stats).c_str());
-  std::printf(
-      "[smoke] %zu windows (T=%zu), %llu rows at %.0f rows/s; emit "
-      "%.1fus/window incremental vs %.1fus/window batch recompute "
-      "(%.1fx)\n",
-      r.windows.size(), cfg.window_length,
-      static_cast<unsigned long long>(r.rows_pushed), rows_per_sec,
-      r.windows.empty() ? 0.0
-                        : 1e6 * r.stats.emit_seconds /
-                              static_cast<double>(r.windows.size()),
-      r.windows.empty() ? 0.0
-                        : 1e6 * batch_seconds /
-                              static_cast<double>(r.windows.size()),
-      speedup);
-
-  check(rows_per_sec > 0.0, "ingest throughput is zero");
-  check(speedup >= 5.0,
-        "incremental emit is not >= 5x faster than batch recompute");
-
-  BenchRow row;
-  row.label = "smoke/T=60";
-  row.window_length = cfg.window_length;
-  row.stride = cfg.stride;
-  row.rows = r.rows_pushed;
-  row.windows = r.windows.size();
-  row.rows_per_sec = rows_per_sec;
-  if (!r.windows.empty()) {
-    const double n = static_cast<double>(r.windows.size());
-    row.emit_us_per_window = 1e6 * r.stats.emit_seconds / n;
-    row.batch_us_per_window = 1e6 * batch_seconds / n;
-  }
-  row.speedup = speedup;
   write_json({row}, "BENCH_stream.json");
   std::printf("[smoke] results written to BENCH_stream.json\n");
 
@@ -295,9 +208,8 @@ int run_smoke(const MetricRegistry& registry, std::uint64_t seed) {
     std::printf("[smoke] FAILED: %zu violated invariants\n", violations);
     return 1;
   }
-  std::printf("[smoke] ok: parity held on all %zu windows, incremental "
-              "emit %.1fx faster than recompute\n",
-              r.windows.size(), speedup);
+  std::printf("[smoke] ok: rows and windows conserved across %zu windows\n",
+              r.windows);
   return 0;
 }
 
@@ -309,14 +221,13 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 11;
   bool smoke = false;
   Cli cli("bench_stream_ingest",
-          "Streaming ingestion benchmark: rows/sec throughput and the "
-          "incremental-emit vs batch-recompute ratio (--smoke for the CI "
-          "parity + speedup gate).");
+          "Streaming ingestion benchmark: rows/sec throughput across window "
+          "shapes (--smoke for the CI conservation gate).");
   cli.flag("nodes", &nodes, "concurrently streamed nodes");
   cli.flag("rows", &rows_per_node, "1 Hz rows per node");
   cli.flag("seed", &seed, "feed generation seed");
   cli.flag("smoke", &smoke,
-           "T=60 replay: assert batch parity and >=5x emit speedup");
+           "T=60 replay: assert row and window conservation");
   cli.parse(argc, argv);
   set_log_level(LogLevel::Warn);
 
@@ -328,19 +239,18 @@ int main(int argc, char** argv) {
 
   const std::vector<std::pair<std::size_t, std::size_t>> configs = {
       {48, 24}, {48, 48}, {60, 30}, {96, 48}, {192, 96}};
-  TextTable table({"config", "windows", "rows/s", "emit us/win",
-                   "batch us/win", "speedup"});
+  TextTable table({"config", "windows", "rows/s"});
   std::vector<BenchRow> rows;
   for (const auto& [length, stride] : configs) {
     StreamIngestConfig cfg;
     cfg.window_length = length;
     cfg.stride = stride;
-    const BenchRow row = measure(registry, cfg, nodes, rows_per_node, seed);
+    const BenchRow row =
+        bench_row(strformat("L=%zu/S=%zu", length, stride), cfg,
+                  replay(registry, cfg, nodes, rows_per_node, seed,
+                         /*nan_cell_rate=*/0.02, /*gap_every=*/0));
     table.add_row({row.label, std::to_string(row.windows),
-                   strformat("%.0f", row.rows_per_sec),
-                   strformat("%.1f", row.emit_us_per_window),
-                   strformat("%.1f", row.batch_us_per_window),
-                   strformat("%.1fx", row.speedup)});
+                   strformat("%.0f", row.rows_per_sec)});
     rows.push_back(row);
   }
   std::printf("\nstreaming ingest sweep (%zu nodes x %zu rows)\n%s\n",

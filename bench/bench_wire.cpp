@@ -9,7 +9,7 @@
 // --smoke runs the CI gate: a clean loopback replay asserting
 //   * conservation — every offered row is acked and disposed exactly once
 //     (watermark == ingested + typed-rejected, nothing lost);
-//   * bit-identical windows — features and raw matrices match an
+//   * bit-identical windows — start sequences and raw matrices match an
 //     in-process StreamIngestor::push replay of the same feed;
 //   * diagnosis parity — a trained RF bundle attached to the server
 //     diagnoses a streamed run identically (label + bit-equal probas) to
@@ -320,12 +320,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, std::uint64_t seed) {
         const TriggeredWindow& a = *by_node[n][i];
         const TriggeredWindow& b = ref_windows[n][i];
         bool same = a.start_seq == b.start_seq &&
-                    a.features.size() == b.features.size() &&
                     a.raw.rows() == b.raw.rows() &&
                     a.raw.cols() == b.raw.cols();
-        for (std::size_t f = 0; same && f < a.features.size(); ++f) {
-          same = bits_equal(a.features[f], b.features[f]);
-        }
         for (std::size_t r = 0; same && r < a.raw.rows(); ++r) {
           for (std::size_t c = 0; same && c < a.raw.cols(); ++c) {
             same = bits_equal(a.raw.row(r)[c], b.raw.row(r)[c]);

@@ -19,9 +19,9 @@
 # round-robin on cache hit rate; timings land in BENCH_fleet.json), a
 # fleet chaos smoke (kill-under-load conservation, poisoned-canary
 # containment, guard-window rollback, promote, typed drain), a stream
-# ingest smoke (replay a gapped/NaN-ridden 1 Hz feed, assert incremental
-# vs batch feature parity on every emitted window and the 5x emit
-# speedup gate; timings land in BENCH_stream.json), a wire smoke (stream
+# ingest smoke (replay a gapped/NaN-ridden 1 Hz feed, assert row
+# conservation and that emitted + dropped + flushed windows equal the
+# windows opened; throughput lands in BENCH_stream.json), a wire smoke (stream
 # a feed over the framed socket transport, assert row conservation,
 # bit-identical windows vs the in-process replay, and diagnosis parity
 # through a trained bundle; results land in BENCH_wire.json), a wire
@@ -69,7 +69,7 @@ echo "== fleet chaos smoke: kill/canary/rollback containment gates =="
 (cd build/bench && ./bench_fleet --chaos-smoke)
 
 echo
-echo "== stream smoke: incremental/batch parity + emit speedup gate =="
+echo "== stream smoke: row + window conservation gate =="
 (cd build/bench && ./bench_stream_ingest --smoke)
 
 echo

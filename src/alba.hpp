@@ -14,9 +14,8 @@
 //   persistence  save_classifier / load_classifier (bare models),
 //                ModelBundle / export_model_bundle (deployable bundles)
 //   streaming    StreamIngestor, StreamIngestConfig, GapPolicy (per-node
-//                ring buffers over a 1 Hz feed, sliding-window triggering,
-//                incremental O(M) features), TriggeredWindow, IngestStats,
-//                stream_feature_names
+//                ring buffers over a 1 Hz feed, sliding-window triggering
+//                of raw windows), TriggeredWindow, IngestStats
 //   wire         the framed socket transport in front of StreamIngestor:
 //                WireClient (buffered exactly-once delivery, reconnect and
 //                resume), IngestServer (typed decode errors, per-node

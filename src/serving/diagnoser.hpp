@@ -25,8 +25,7 @@
 // The per-tier convenience overloads (HostResult, FleetResult) remain the
 // Tier-2 surface for callers that need tier-specific fields; new code and
 // anything generic over tiers should use this interface. The free
-// diagnose_with_retry replaces ServiceHost::diagnose_with_retry (now
-// deprecated) and works against any tier.
+// diagnose_with_retry works against any tier.
 #pragma once
 
 #include <cstdint>

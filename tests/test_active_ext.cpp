@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "active/committee.hpp"
 #include "common/csv.hpp"
@@ -424,22 +426,29 @@ RefResult reference_run(std::unique_ptr<Classifier> model,
   return result;
 }
 
+// Plain values only (no pointer, no padding): gtest prints GetParam() as a
+// byte dump that ctest puts in the test name, so every byte must be the same
+// on every run.
 struct EquivCase {
-  const char* strategy;
+  QueryStrategy strategy;
   int batch;
+  std::uint64_t seed;
 };
+static_assert(sizeof(EquivCase) == sizeof(QueryStrategy) + sizeof(int) +
+                                       sizeof(std::uint64_t));
 
 class LoopEquivalenceTest : public ::testing::TestWithParam<EquivCase> {};
 
 TEST_P(LoopEquivalenceTest, MatchesSerialReference) {
   const EquivCase& c = GetParam();
+  const std::string name(strategy_name(c.strategy));
   const AlTask task = make_task(21);
   ActiveLearnerConfig cfg;
-  cfg.strategy = strategy_from_name(c.strategy);
+  cfg.strategy = c.strategy;
   cfg.max_queries = 15;
   cfg.batch_size = c.batch;
   cfg.committee_size = 3;
-  cfg.seed = 29;
+  cfg.seed = c.seed;
 
   const RefResult expected = reference_run(task_model(8), cfg, task);
 
@@ -448,27 +457,30 @@ TEST_P(LoopEquivalenceTest, MatchesSerialReference) {
   const auto result = learner.run(task.seed, task.pool_x, oracle, {},
                                   task.test_x, task.test_y);
 
-  ASSERT_EQ(result.queried.size(), expected.queried.size()) << c.strategy;
+  ASSERT_EQ(result.queried.size(), expected.queried.size()) << name;
   for (std::size_t i = 0; i < expected.queried.size(); ++i) {
     EXPECT_EQ(result.queried[i].pool_index, expected.queried[i])
-        << c.strategy << " query " << i;
+        << name << " query " << i;
   }
-  ASSERT_EQ(result.curve.size(), expected.f1s.size()) << c.strategy;
+  ASSERT_EQ(result.curve.size(), expected.f1s.size()) << name;
   for (std::size_t i = 0; i < expected.f1s.size(); ++i) {
     EXPECT_DOUBLE_EQ(result.curve[i].f1, expected.f1s[i])
-        << c.strategy << " round " << i;
+        << name << " round " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Strategies, LoopEquivalenceTest,
-    ::testing::Values(EquivCase{"uncertainty", 1}, EquivCase{"uncertainty", 4},
-                      EquivCase{"margin", 1}, EquivCase{"entropy", 1},
-                      EquivCase{"density_weighted", 2},
-                      EquivCase{"vote_entropy", 2},
-                      EquivCase{"consensus_kl", 1}, EquivCase{"random", 3}),
+    ::testing::Values(EquivCase{QueryStrategy::Uncertainty, 1, 29},
+                      EquivCase{QueryStrategy::Uncertainty, 4, 29},
+                      EquivCase{QueryStrategy::Margin, 1, 29},
+                      EquivCase{QueryStrategy::Entropy, 1, 29},
+                      EquivCase{QueryStrategy::DensityWeighted, 2, 29},
+                      EquivCase{QueryStrategy::VoteEntropy, 2, 29},
+                      EquivCase{QueryStrategy::ConsensusKl, 1, 29},
+                      EquivCase{QueryStrategy::Random, 3, 29}),
     [](const ::testing::TestParamInfo<EquivCase>& info) {
-      return std::string(info.param.strategy) + "_b" +
+      return std::string(strategy_name(info.param.strategy)) + "_b" +
              std::to_string(info.param.batch);
     });
 

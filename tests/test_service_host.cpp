@@ -4,6 +4,7 @@
 // concurrency tests in this file run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -547,6 +548,42 @@ TEST(ServiceHost, RetryWithBackoffRecoversFromTransientFailures) {
   const HostStats s = host.stats();
   EXPECT_EQ(s.failed, 2u);
   EXPECT_EQ(s.completed, 1u);
+}
+
+// A tier that never stops answering with a retriable status: the deadline,
+// not the tier, ends the retry loop, so the caller sees RejectedDeadline
+// rather than whichever transient status came last.
+TEST(ServiceHost, RetryPastTheDeadlineIsRejectedDeadlineNotTheLastTransient) {
+  class AlwaysTransient : public Diagnoser {
+   public:
+    explicit AlwaysTransient(RequestStatus status) : status_(status) {}
+    DiagnosisResult diagnose(const DiagnoseRequest&) override {
+      ++calls;
+      DiagnosisResult r;
+      r.status = status_;
+      return r;
+    }
+    std::size_t calls = 0;
+
+   private:
+    RequestStatus status_;
+  };
+
+  const Matrix window(4, 2);
+  BackoffConfig backoff;
+  backoff.max_attempts = 1000;  // the deadline must end the loop first
+  backoff.initial_delay_ms = 1.0;
+  backoff.seed = 3;
+  for (const RequestStatus transient :
+       {RequestStatus::Failed, RequestStatus::RejectedQueueFull}) {
+    AlwaysTransient tier(transient);
+    const DiagnosisResult r = diagnose_with_retry(
+        tier, DiagnoseRequest{&window, Deadline::after_ms(20.0)}, backoff);
+    EXPECT_EQ(r.status, RequestStatus::RejectedDeadline)
+        << "tier kept answering " << to_string(transient);
+    EXPECT_TRUE(r.diagnosis.probs.empty());
+    EXPECT_EQ(r.attempts, std::max<std::size_t>(tier.calls, 1));
+  }
 }
 
 // ----------------------------------------------- concurrency (TSan target) ---

@@ -381,12 +381,6 @@ TEST(IngestServerLoopback, StreamsBitIdenticallyToInProcessPush) {
     const TriggeredWindow& a = served[i].window;
     const TriggeredWindow& b = reference_windows[i];
     EXPECT_EQ(a.start_seq, b.start_seq);
-    ASSERT_EQ(a.features.size(), b.features.size());
-    for (std::size_t k = 0; k < a.features.size(); ++k) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.features[k]),
-                std::bit_cast<std::uint64_t>(b.features[k]))
-          << "window " << i << " feature " << k;
-    }
     ASSERT_EQ(a.raw.rows(), b.raw.rows());
     for (std::size_t r = 0; r < a.raw.rows(); ++r) {
       for (std::size_t c = 0; c < a.raw.cols(); ++c) {
@@ -703,11 +697,9 @@ TEST(IngestStatsCsv, RoundTripsThroughRfc4180Parser) {
   a.resets = 1;
   a.windows_emitted = 12;
   a.windows_dropped = 2;
-  a.windows_recomputed = 1;
   a.windows_flushed = 3;
   a.rejected_backpressure = 7;
   a.decode_errors = 5;
-  a.emit_seconds = 0.125;
   IngestStats b;
   b.accepted = 50;
   b.rejected_backpressure = 1;
@@ -726,10 +718,11 @@ TEST(IngestStatsCsv, RoundTripsThroughRfc4180Parser) {
   std::remove(path.c_str());
 
   ASSERT_EQ(table.rows.size(), 2u);
-  ASSERT_EQ(table.header.size(), 14u);
+  ASSERT_EQ(table.header.size(), 12u);
   EXPECT_EQ(table.header[0], "label");
-  EXPECT_EQ(table.header[11], "rejected_backpressure");
-  EXPECT_EQ(table.header[12], "decode_errors");
+  EXPECT_EQ(table.header[9], "windows_flushed");
+  EXPECT_EQ(table.header[10], "rejected_backpressure");
+  EXPECT_EQ(table.header[11], "decode_errors");
   // The label with comma + quotes survives the round trip intact.
   EXPECT_EQ(table.rows[0][table.column_index("label")],
             "node=0,rack=\"r1\"");
