@@ -1,9 +1,10 @@
 // Serving-path benchmark: end-to-end from an exported ModelBundle. Trains
 // a small model, freezes it with export_model_bundle, reloads it into a
 // DiagnosisService, and serves a stream of raw telemetry windows (with a
-// repeated-window share to exercise the LRU cache), sweeping micro-batch
-// size x thread count and reporting p50/p99 request latency, windows/sec,
-// and cache hit rate per configuration.
+// repeated-window share to exercise the LRU cache) one window per call,
+// sweeping the number of threads calling diagnose concurrently and
+// reporting p50/p99 window latency, windows/sec, and cache hit rate per
+// thread count.
 //
 // --smoke runs the CI gate instead of the sweep: serve 100 windows and
 // assert nonzero throughput plus bit-identical agreement with the offline
@@ -661,11 +662,12 @@ int main(int argc, char** argv) {
   if (chaos_smoke) return run_chaos_smoke(stream, seed);
 
   if (smoke) {
-    ServingConfig smoke_config;
-    smoke_config.max_batch = 8;
-    DiagnosisService service(load_model_bundle_file(kBundlePath),
-                             smoke_config);
-    const auto diagnoses = service.diagnose_batch(stream.windows);
+    DiagnosisService service(load_model_bundle_file(kBundlePath));
+    std::vector<Diagnosis> diagnoses;
+    diagnoses.reserve(stream.windows.size());
+    for (const Matrix& w : stream.windows) {
+      diagnoses.push_back(service.diagnose(w));
+    }
     const Matrix reference =
         offline_probs(stream, generator, cfg, service.bundle(), prepared,
                       *model);
@@ -709,34 +711,31 @@ int main(int argc, char** argv) {
       1, std::thread::hardware_concurrency());
   std::vector<std::size_t> thread_counts{1};
   if (hw > 1) thread_counts.push_back(hw);
-  const std::vector<std::size_t> batch_sizes{1, 8, 32};
 
-  TextTable table({"batch", "threads", "p50 ms", "p99 ms", "windows/s",
+  TextTable table({"threads", "p50 ms", "p99 ms", "windows/s",
                    "cache hit %"});
   std::vector<std::pair<std::string, ServingStats>> csv_rows;
   for (const std::size_t threads : thread_counts) {
-    ThreadPool pool(threads);
-    for (const std::size_t batch : batch_sizes) {
-      ServingConfig serving;
-      serving.max_batch = batch;
-      serving.pool = &pool;
-      DiagnosisService service(load_model_bundle_file(kBundlePath), serving);
-      for (std::size_t begin = 0; begin < stream.windows.size();
-           begin += batch) {
-        const std::size_t end =
-            std::min(stream.windows.size(), begin + batch);
-        service.diagnose_batch(std::span<const Matrix>(stream.windows)
-                                   .subspan(begin, end - begin));
-      }
-      const ServingStats s = service.stats();
-      table.add_row({std::to_string(batch), std::to_string(threads),
-                     strformat("%.3f", s.latency_p50_ms),
-                     strformat("%.3f", s.latency_p99_ms),
-                     strformat("%.1f", s.windows_per_second()),
-                     strformat("%.1f", 100.0 * s.hit_rate())});
-      csv_rows.emplace_back(strformat("batch=%zu/threads=%zu", batch, threads),
-                            s);
+    // Every thread pulls the next unserved window, so the stream is served
+    // once, by `threads` concurrent diagnose callers.
+    DiagnosisService service(load_model_bundle_file(kBundlePath));
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < threads; ++t) {
+      callers.emplace_back([&] {
+        for (std::size_t i = next++; i < stream.windows.size(); i = next++) {
+          (void)service.diagnose(stream.windows[i]);
+        }
+      });
     }
+    for (auto& c : callers) c.join();
+    const ServingStats s = service.stats();
+    table.add_row({std::to_string(threads),
+                   strformat("%.3f", s.latency_p50_ms),
+                   strformat("%.3f", s.latency_p99_ms),
+                   strformat("%.1f", s.windows_per_second()),
+                   strformat("%.1f", 100.0 * s.hit_rate())});
+    csv_rows.emplace_back(strformat("threads=%zu", threads), s);
   }
   std::printf("\nserving sweep over %zu windows (%zu distinct)\n%s\n",
               stream.windows.size(),

@@ -57,14 +57,12 @@ int main() {
   // statuses, not exceptions.
   std::printf("[deploy] hosting %s behind admission control\n\n",
               bundle_path.c_str());
-  ServingConfig serving;
-  serving.max_batch = 8;
   HostConfig host_config;
   host_config.workers = 2;
   host_config.queue_capacity = 16;
   host_config.default_deadline_ms = 250.0;
   ServiceHost host(std::make_shared<DiagnosisService>(
-                       load_model_bundle_file(bundle_path), serving),
+                       load_model_bundle_file(bundle_path)),
                    host_config);
 
   // The production collector is imperfect: metric dropouts, stuck sensors,

@@ -30,7 +30,8 @@
 # once in {ingested, typed-rejected} with nothing silently lost), an
 # AddressSanitizer + UndefinedBehaviorSanitizer build of the full suite
 # (the fault-injection paths shuffle NaNs and truncated buffers around —
-# exactly where silent out-of-bounds reads would hide), then a
+# exactly where silent out-of-bounds reads would hide) plus 20 isolated
+# repeats of the fleet stats-snapshot consistency test, then a
 # ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
 # tree training incl. the shared BinnedMatrix, active-learning loop, the
 # diagnosis service, its overload-safe host, and the replicated fleet)
@@ -94,6 +95,10 @@ cmake --build build-asan -j"$(nproc)" --target \
   test_active_ext test_core test_properties test_faults test_serving \
   test_service_host test_fleet test_streaming test_wire > /dev/null
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
+# A torn FleetStats snapshot shows up only under contention, so one pass
+# proves little: repeat the snapshot-consistency test in isolation.
+./build-asan/tests/test_fleet \
+  --gtest_filter=Fleet.StatsSnapshotsStayConsistentUnderLoad --gtest_repeat=20
 
 echo
 echo "== tsan: thread pool + tree training + active learning + serving + fleet + streaming =="

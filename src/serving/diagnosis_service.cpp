@@ -106,11 +106,9 @@ DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
       config_(config),
       registry_(bundle_.features.system, bundle_.features.registry),
       extractor_(make_extractor(bundle_.features.extractor)),
-      pool_(config.pool != nullptr ? config.pool : &global_pool()),
       cache_(config.cache_capacity) {
   ALBA_CHECK(bundle_.model && bundle_.model->fitted())
       << "DiagnosisService needs a fitted model";
-  ALBA_CHECK(config_.max_batch > 0);
 
   // Resolve every selected feature name against the raw feature space this
   // registry/extractor pair produces (column j*F+f is feature f of metric
@@ -174,100 +172,19 @@ void DiagnosisService::extract_row(const Matrix& window,
   }
 }
 
-void DiagnosisService::serve_micro_batch(std::span<const Matrix> windows,
-                                         std::span<Diagnosis> out) {
-  const std::size_t n = windows.size();
-  const auto start = std::chrono::steady_clock::now();
-
-  // Cache pass: answer hits, dedup identical windows within the batch.
-  // Intra-batch dedup keys on the full WindowKey, so two distinct windows
-  // whose hashes collide are still extracted and predicted separately.
-  std::vector<WindowKey> keys(n);
-  std::vector<std::size_t> miss;            // window index per miss slot
-  std::unordered_map<std::uint64_t, std::size_t> pending;  // hash -> miss slot
-  std::vector<std::pair<std::size_t, std::size_t>> aliases;  // (window, slot)
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = window_key(windows[i]);
-    if (cache_.lookup(keys[i], out[i])) {
-      ++hits;
-      continue;
-    }
-    const auto [it, inserted] = pending.emplace(keys[i].hash, miss.size());
-    if (inserted || !keys[miss[it->second]].matches(keys[i])) {
-      if (!inserted) pending[keys[i].hash] = miss.size();  // colliding pair
-      miss.push_back(i);
-    } else {
-      aliases.emplace_back(i, it->second);
-    }
-  }
-
-  double extract_s = 0.0;
-  double predict_s = 0.0;
-  std::size_t batches = 0;
-  if (!miss.empty()) {
-    // Parallel feature extraction, one row per distinct missed window.
-    Timer phase;
-    Matrix batch_x(miss.size(), bundle_.selected.size());
-    pool_->parallel_for(miss.size(), [&](std::size_t m) {
-      extract_row(windows[miss[m]], batch_x.row(m));
-    });
-    extract_s = phase.seconds();
-
-    phase.reset();
-    const Matrix probs = bundle_.model->predict_proba(batch_x);
-    predict_s = phase.seconds();
-    batches = 1;
-
-    for (std::size_t m = 0; m < miss.size(); ++m) {
-      const std::size_t i = miss[m];
-      Diagnosis& d = out[i];
-      const auto row = probs.row(m);
-      d.probs.assign(row.begin(), row.end());
-      d.label = argmax_label(row);
-      d.confidence = row[static_cast<std::size_t>(d.label)];
-      d.cache_hit = false;
-      cache_.insert(keys[i], d);
-    }
-    for (const auto& [i, slot] : aliases) {
-      out[i] = out[miss[slot]];
-      out[i].cache_hit = true;  // answered without a pipeline pass
-    }
-  }
-
-  // Intra-batch duplicates count as hits: they were answered without a
-  // pipeline pass, exactly what the hit rate measures.
-  record_request(start, std::chrono::steady_clock::now(), n, extract_s,
-                 predict_s, hits + aliases.size(), miss.size(), batches);
-}
-
-std::vector<Diagnosis> DiagnosisService::diagnose_batch(
-    std::span<const Matrix> windows) {
-  std::vector<Diagnosis> out(windows.size());
-  for (std::size_t begin = 0; begin < windows.size();
-       begin += config_.max_batch) {
-    const std::size_t end =
-        std::min(windows.size(), begin + config_.max_batch);
-    serve_micro_batch(windows.subspan(begin, end - begin),
-                      std::span<Diagnosis>(out).subspan(begin, end - begin));
-  }
-  return out;
-}
-
-void DiagnosisService::serve_single(const Matrix& window, Diagnosis& out) {
+Diagnosis DiagnosisService::diagnose(const Matrix& window) {
   const auto start = std::chrono::steady_clock::now();
   const WindowKey key = window_key(window);
+  Diagnosis out;
   if (cache_.lookup(key, out)) {
-    record_request(start, std::chrono::steady_clock::now(), 1, 0.0, 0.0, 1,
-                   0, 0);
-    return;
+    record_request(start, std::chrono::steady_clock::now(), 0.0, 0.0, true);
+    return out;
   }
 
   // Per-thread scratch: reshape keeps capacity, so after the first request
-  // on a thread neither matrix allocates again. Extraction runs inline —
-  // one row cannot use the pool, and skipping the dispatch saves its
-  // latency too. The predictor sees a batch of one, which predict_dispatch
-  // routes to the small-batch threshold kernel.
+  // on a thread neither matrix allocates again. The predictor sees a batch
+  // of one, which predict_dispatch routes to the small-batch threshold
+  // kernel.
   Timer phase;
   thread_local Matrix x;
   thread_local Matrix probs;
@@ -287,13 +204,8 @@ void DiagnosisService::serve_single(const Matrix& window, Diagnosis& out) {
   out.confidence = row[static_cast<std::size_t>(out.label)];
   out.cache_hit = false;
   cache_.insert(key, out);
-  record_request(start, std::chrono::steady_clock::now(), 1, extract_s,
-                 predict_s, 0, 1, 1);
-}
-
-Diagnosis DiagnosisService::diagnose(const Matrix& window) {
-  Diagnosis out;
-  serve_single(window, out);
+  record_request(start, std::chrono::steady_clock::now(), extract_s,
+                 predict_s, false);
   return out;
 }
 
@@ -333,16 +245,13 @@ std::string_view DiagnosisService::label_name(int label) const {
 
 void DiagnosisService::record_request(
     std::chrono::steady_clock::time_point start,
-    std::chrono::steady_clock::time_point end, std::size_t windows,
-    double extract_s, double predict_s, std::size_t hits, std::size_t misses,
-    std::size_t batches) {
+    std::chrono::steady_clock::time_point end, double extract_s,
+    double predict_s, bool cache_hit) {
   const double total_s = std::chrono::duration<double>(end - start).count();
   std::lock_guard<std::mutex> lock(stats_mutex_);
-  totals_.requests += 1;
-  totals_.windows += windows;
-  totals_.batches += batches;
-  totals_.cache_hits += hits;
-  totals_.cache_misses += misses;
+  totals_.windows += 1;
+  totals_.cache_hits += cache_hit ? 1 : 0;
+  totals_.cache_misses += cache_hit ? 0 : 1;
   totals_.extract_seconds += extract_s;
   totals_.predict_seconds += predict_s;
   totals_.total_seconds += total_s;

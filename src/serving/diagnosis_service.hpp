@@ -11,17 +11,17 @@
 //  * scaling and column selection are composed per selected column, so the
 //    full feature_names-wide row is never materialized.
 //
-// Windows are served as micro-batches: feature rows are extracted in
-// parallel on the shared ThreadPool and predicted with one classifier
-// forward pass per batch. An LRU cache keyed on the window's content hash
-// answers repeated windows (a stalled collector re-delivering the same
+// Each call serves one window: the feature row and probability matrices
+// are per-thread scratch that keep their capacity across requests, and the
+// classifier sees a batch of one. An LRU cache keyed on the window's content
+// hash answers repeated windows (a stalled collector re-delivering the same
 // scan, a dashboard re-asking about the same incident) without touching
 // the pipeline.
 //
-// Thread-safety contract: diagnose and diagnose_batch may be called
-// concurrently from any number of threads. The cache and the statistics
-// are mutex-guarded; the pipeline itself only reads the frozen bundle.
-// stats()/reset_stats() are safe concurrently with serving.
+// Thread-safety contract: diagnose may be called concurrently from any
+// number of threads. The cache and the statistics are mutex-guarded; the
+// pipeline itself only reads the frozen bundle. stats()/reset_stats() are
+// safe concurrently with serving.
 #pragma once
 
 #include <chrono>
@@ -35,7 +35,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "features/extractor.hpp"
 #include "linalg/matrix.hpp"
 #include "serving/diagnoser.hpp"
@@ -46,14 +45,8 @@
 namespace alba {
 
 struct ServingConfig {
-  // Windows per classifier forward pass; larger batches amortize the
-  // per-call overhead at the cost of per-window latency.
-  std::size_t max_batch = 32;
   // LRU entries keyed on window content hash; 0 disables caching.
   std::size_t cache_capacity = 1024;
-  // Pool for parallel feature extraction; nullptr = the process-wide
-  // global_pool().
-  ThreadPool* pool = nullptr;
   // Called once per window at the start of feature extraction; the chaos
   // harness (serving/chaos.hpp) uses it to inject slow or failing
   // extractions. A throw from the hook aborts that window's pipeline pass
@@ -121,7 +114,7 @@ class WindowCache {
 class DiagnosisService : public Diagnoser {
  public:
   /// Latency-percentile window: stats() computes p50/p99 over at most this
-  /// many most-recent requests.
+  /// many most-recent windows.
   static constexpr std::size_t kLatencyWindow = 4096;
 
   /// Takes ownership of the bundle and precomputes the serving plan
@@ -142,11 +135,6 @@ class DiagnosisService : public Diagnoser {
   /// reloads), replica 0, attempts 1.
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
 
-  /// Diagnoses a stream of windows as micro-batches of at most
-  /// config.max_batch, preserving order. Duplicate windows — within the
-  /// batch or across requests — are answered once and deduplicated.
-  std::vector<Diagnosis> diagnose_batch(std::span<const Matrix> windows);
-
   const ModelBundle& bundle() const noexcept { return bundle_; }
   const ServingConfig& config() const noexcept { return config_; }
   const MetricRegistry& registry() const noexcept { return registry_; }
@@ -166,25 +154,14 @@ class DiagnosisService : public Diagnoser {
   };
 
   void extract_row(const Matrix& window, std::span<double> out) const;
-  void serve_micro_batch(std::span<const Matrix> windows,
-                         std::span<Diagnosis> out);
-  // Single-window fast path: no dedup bookkeeping, no pool dispatch, and
-  // the feature row + probability matrices are per-thread scratch reused
-  // across requests, so a cached-model request performs no batch-assembly
-  // copies or steady-state allocations before the predictor runs. Results
-  // are bit-identical to serve_micro_batch on a one-window span.
-  void serve_single(const Matrix& window, Diagnosis& out);
   void record_request(std::chrono::steady_clock::time_point start,
                       std::chrono::steady_clock::time_point end,
-                      std::size_t windows, double extract_s, double predict_s,
-                      std::size_t hits, std::size_t misses,
-                      std::size_t batches);
+                      double extract_s, double predict_s, bool cache_hit);
 
   ModelBundle bundle_;
   ServingConfig config_;
   MetricRegistry registry_;
   std::unique_ptr<FeatureExtractor> extractor_;
-  ThreadPool* pool_;
 
   // Precomputed plan: per-needed-metric extraction targets and, per model
   // input column, the Min-Max parameters of its source feature column.
@@ -195,7 +172,7 @@ class DiagnosisService : public Diagnoser {
   // Window cache with verified (collision-safe) hits.
   WindowCache cache_;
 
-  // Aggregate counters + per-request latency ring (RoundStats idiom).
+  // Aggregate counters + per-window latency ring (RoundStats idiom).
   // wall-clock span endpoints: first request start, latest request end.
   mutable std::mutex stats_mutex_;
   ServingStats totals_;

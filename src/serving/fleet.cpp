@@ -316,28 +316,10 @@ FleetResult ServingFleet::diagnose(const Matrix& window, Deadline deadline) {
   FleetResult out;
   out.replica = preferred < hosts_.size() ? preferred : 0;
   out.result.status = RequestStatus::RejectedUnhealthy;  // nothing to try
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::size_t c = order[i];
-    outstanding_[c]->fetch_add(1, std::memory_order_relaxed);
-    const HostResult r = hosts_[c]->diagnose(window, deadline);
-    outstanding_[c]->fetch_sub(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      record_outcome_locked(c, r);
-      if (c != preferred) ++replicas_[c].spill_in;
-    }
-    out.result = r;
-    out.replica = c;
-    out.attempts = i + 1;
-    if (r.status == RequestStatus::Ok) break;
-    // A deadline rejection is the caller's budget, not this replica's
-    // fault — no other replica can answer in negative time.
-    if (r.status == RequestStatus::RejectedDeadline) break;
-    if (deadline.expired()) break;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+  // Fleet counters move in the same critical section as the final
+  // attempt's replica outcome, so a concurrent stats() never sees a
+  // replica's served count ahead of the fleet's.
+  const auto finish_locked = [&] {
     if (out.result.status == RequestStatus::Ok) {
       out.status = FleetStatus::Ok;
       out.spilled = out.replica != preferred;
@@ -352,6 +334,32 @@ FleetResult ServingFleet::diagnose(const Matrix& window, Deadline deadline) {
     }
     if (out.attempts > 1) {
       failovers_ += static_cast<std::uint64_t>(out.attempts - 1);
+    }
+  };
+  if (order.empty()) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    finish_locked();
+    return out;
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::size_t c = order[i];
+    outstanding_[c]->fetch_add(1, std::memory_order_relaxed);
+    const HostResult r = hosts_[c]->diagnose(window, deadline);
+    outstanding_[c]->fetch_sub(1, std::memory_order_relaxed);
+    out.result = r;
+    out.replica = c;
+    out.attempts = i + 1;
+    // A deadline rejection is the caller's budget, not this replica's
+    // fault — no other replica can answer in negative time.
+    const bool last = r.status == RequestStatus::Ok ||
+                      r.status == RequestStatus::RejectedDeadline ||
+                      deadline.expired() || i + 1 == order.size();
+    std::lock_guard<std::mutex> lock(mutex_);
+    record_outcome_locked(c, r);
+    if (c != preferred) ++replicas_[c].spill_in;
+    if (last) {
+      finish_locked();
+      break;
     }
   }
   return out;

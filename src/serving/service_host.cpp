@@ -274,17 +274,6 @@ DiagnosisResult ServiceHost::diagnose(const DiagnoseRequest& request) {
   return r;
 }
 
-std::vector<HostResult> ServiceHost::diagnose_batch(
-    std::span<const Matrix> windows, Deadline deadline) {
-  std::vector<std::future<HostResult>> futures;
-  futures.reserve(windows.size());
-  for (const Matrix& w : windows) futures.push_back(submit(w, deadline));
-  std::vector<HostResult> results;
-  results.reserve(windows.size());
-  for (auto& f : futures) results.push_back(f.get());
-  return results;
-}
-
 ReloadReport ServiceHost::reload(ModelBundle bundle) {
   std::lock_guard<std::mutex> reload_lock(reload_mutex_);
   ReloadReport report;

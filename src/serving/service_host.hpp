@@ -38,7 +38,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -149,12 +148,6 @@ class ServiceHost : public Diagnoser {
   /// attempts 1). A never() deadline applies config.default_deadline_ms,
   /// matching diagnose(window).
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
-
-  /// Submits every window up front (so they share the queue and the
-  /// worker set — a burst, not a sequence) and waits for all outcomes.
-  /// Windows past the admission bound come back RejectedQueueFull.
-  std::vector<HostResult> diagnose_batch(std::span<const Matrix> windows,
-                                         Deadline deadline);
 
   /// Validates `bundle` against the probe set and atomically swaps it in;
   /// on any failure the previous service keeps serving (rolled_back).

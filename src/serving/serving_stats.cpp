@@ -24,34 +24,30 @@ double latency_percentile(std::span<const double> latencies_ms, double q) {
 
 std::string format_serving_summary(const ServingStats& s) {
   return strformat(
-      "%llu windows in %llu requests: %.1f win/s, p50 %.2fms, p99 %.2fms, "
-      "p99.9 %.2fms, min %.2fms, cache %.1f%% (extract %.2fs, "
-      "predict %.2fs)",
-      static_cast<unsigned long long>(s.windows),
-      static_cast<unsigned long long>(s.requests), s.windows_per_second(),
+      "%llu windows: %.1f win/s, p50 %.2fms, p99 %.2fms, p99.9 %.2fms, "
+      "min %.2fms, cache %.1f%% (extract %.2fs, predict %.2fs)",
+      static_cast<unsigned long long>(s.windows), s.windows_per_second(),
       s.latency_p50_ms, s.latency_p99_ms, s.latency_p999_ms,
       s.latency_min_ms, 100.0 * s.hit_rate(), s.extract_seconds,
       s.predict_seconds);
 }
 
 std::string serving_stats_csv_header() {
-  return "label,requests,windows,batches,cache_hits,cache_misses,"
-         "collision_evictions,extract_seconds,predict_seconds,total_seconds,"
-         "wall_seconds,windows_per_second,latency_p50_ms,latency_p99_ms,"
-         "latency_p999_ms,latency_min_ms";
+  return "label,windows,cache_hits,cache_misses,collision_evictions,"
+         "extract_seconds,predict_seconds,total_seconds,wall_seconds,"
+         "windows_per_second,latency_p50_ms,latency_p99_ms,latency_p999_ms,"
+         "latency_min_ms";
 }
 
 std::string serving_stats_csv_row(std::string_view label,
                                   const ServingStats& s) {
-  // The label is free-form configuration text (e.g. "batch=8,threads=4");
+  // The label is free-form configuration text (e.g. "threads=4,cache=0");
   // RFC-4180 quoting keeps a comma or quote in it from shearing columns.
   return csv_escape(std::string(label)) +
          strformat(
-             ",%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%.6f,%.6f,%.6f,%.3f,"
-             "%.4f,%.4f,%.4f,%.4f",
-             static_cast<unsigned long long>(s.requests),
+             ",%llu,%llu,%llu,%llu,%.6f,%.6f,%.6f,%.6f,%.3f,%.4f,%.4f,%.4f,"
+             "%.4f",
              static_cast<unsigned long long>(s.windows),
-             static_cast<unsigned long long>(s.batches),
              static_cast<unsigned long long>(s.cache_hits),
              static_cast<unsigned long long>(s.cache_misses),
              static_cast<unsigned long long>(s.collision_evictions),
@@ -77,9 +73,7 @@ ServingStats merge_serving_stats(std::span<const ServingStats> parts) {
   std::uint64_t weight = 0;
   bool any_min = false;
   for (const ServingStats& s : parts) {
-    merged.requests += s.requests;
     merged.windows += s.windows;
-    merged.batches += s.batches;
     merged.cache_hits += s.cache_hits;
     merged.cache_misses += s.cache_misses;
     merged.collision_evictions += s.collision_evictions;
@@ -87,13 +81,13 @@ ServingStats merge_serving_stats(std::span<const ServingStats> parts) {
     merged.predict_seconds += s.predict_seconds;
     merged.total_seconds += s.total_seconds;
     merged.wall_seconds = std::max(merged.wall_seconds, s.wall_seconds);
-    weighted_p50 += static_cast<double>(s.requests) * s.latency_p50_ms;
-    weighted_p99 += static_cast<double>(s.requests) * s.latency_p99_ms;
-    weighted_p999 += static_cast<double>(s.requests) * s.latency_p999_ms;
-    weight += s.requests;
+    weighted_p50 += static_cast<double>(s.windows) * s.latency_p50_ms;
+    weighted_p99 += static_cast<double>(s.windows) * s.latency_p99_ms;
+    weighted_p999 += static_cast<double>(s.windows) * s.latency_p999_ms;
+    weight += s.windows;
     // The fleet minimum composes exactly (unlike the percentiles): it is
     // the smallest per-replica minimum over replicas that served anything.
-    if (s.requests > 0) {
+    if (s.windows > 0) {
       merged.latency_min_ms = any_min
           ? std::min(merged.latency_min_ms, s.latency_min_ms)
           : s.latency_min_ms;

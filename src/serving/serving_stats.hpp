@@ -1,7 +1,7 @@
 // Aggregate instrumentation of the online diagnosis path, following the
 // RoundStats idiom from the active-learning loop: the service records phase
-// timings (feature extraction vs. model forward pass), request/window/batch
-// counts, and cache accounting as it serves, and exposes an immutable
+// timings (feature extraction vs. model forward pass), window counts, and
+// cache accounting as it serves, and exposes an immutable
 // snapshot with derived throughput and latency percentiles. Benches and the
 // smoke stage consume the same snapshot instead of re-instrumenting the
 // service.
@@ -18,12 +18,10 @@
 namespace alba {
 
 /// Snapshot of a DiagnosisService's counters since construction (or the
-/// last reset_stats). Latency percentiles cover the most recent requests
+/// last reset_stats). Latency percentiles cover the most recent windows
 /// (a bounded ring; see DiagnosisService::kLatencyWindow).
 struct ServingStats {
-  std::uint64_t requests = 0;      // diagnose / diagnose_batch calls
   std::uint64_t windows = 0;       // windows diagnosed, cache hits included
-  std::uint64_t batches = 0;       // model micro-batches actually predicted
   std::uint64_t cache_hits = 0;    // windows answered from the LRU cache
   std::uint64_t cache_misses = 0;  // windows that ran the full pipeline
   // Cache entries evicted because a full-key check disproved a 64-bit hash
@@ -34,12 +32,12 @@ struct ServingStats {
   // Per-call time summed across workers — under concurrent serving this
   // exceeds elapsed time, so throughput must not divide by it.
   double total_seconds = 0.0;
-  // Monotonic span from the first request's start to the latest request's
+  // Monotonic span from the first window's start to the latest window's
   // end — the denominator of windows_per_second().
   double wall_seconds = 0.0;
-  double latency_p50_ms = 0.0;     // per-request latency percentiles
+  double latency_p50_ms = 0.0;     // per-window latency percentiles
   double latency_p99_ms = 0.0;
-  // Tail and floor of the same ring: p99.9 is the metric the small-batch
+  // Tail and floor of the same ring: p99.9 is the metric the per-window
   // serving path optimizes, min bounds what the hardware allows.
   double latency_p999_ms = 0.0;
   double latency_min_ms = 0.0;
@@ -63,13 +61,13 @@ struct ServingStats {
 double latency_percentile(std::span<const double> latencies_ms, double q);
 
 /// One human-readable line, e.g.
-///   "640 windows in 512 requests: 123.4 win/s, p50 1.2ms, p99 4.5ms,
-///    cache 37.5% (extract 3.1s, predict 1.0s)".
+///   "640 windows: 123.4 win/s, p50 1.2ms, p99 4.5ms, cache 37.5%
+///    (extract 3.1s, predict 1.0s)".
 std::string format_serving_summary(const ServingStats& s);
 
 /// CSV column names matching serving_stats_csv_row field order; the leading
-/// `label` column tags the configuration (e.g. "batch=8/threads=4") so one
-/// file can hold a whole sweep.
+/// `label` column tags the configuration (e.g. "threads=4") so one file can
+/// hold a whole sweep.
 std::string serving_stats_csv_header();
 std::string serving_stats_csv_row(std::string_view label,
                                   const ServingStats& s);
@@ -83,8 +81,8 @@ void write_serving_stats_csv(
 /// Fleet-level roll-up of per-replica snapshots: counters and phase times
 /// sum exactly; wall_seconds is the max (replicas serve concurrently, so
 /// their spans overlap rather than concatenate); latency percentiles are
-/// request-count-weighted means of the per-replica percentiles — replicas
-/// with zero requests contribute nothing. The weighting is a reporting
+/// window-count-weighted means of the per-replica percentiles — replicas
+/// with zero windows contribute nothing. The weighting is a reporting
 /// approximation (percentiles do not compose); exact fleet percentiles
 /// come from ServingFleet's merged latency sample windows (fleet.hpp).
 ServingStats merge_serving_stats(std::span<const ServingStats> parts);

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "common/error.hpp"
@@ -439,12 +440,19 @@ TEST(Fleet, StatsSnapshotsStayConsistentUnderLoad) {
 
 // --------------------------------------------------------------- rollout ---
 
-constexpr const char* kRolloutGood = "/tmp/alba_fleet_rollout_good.bin";
-constexpr const char* kRolloutBad = "/tmp/alba_fleet_rollout_bad.bin";
+// Bundle files named after the running test, so rollout tests run in
+// parallel by ctest never overwrite or delete each other's bundles.
+std::string rollout_path(const char* kind) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::string("/tmp/alba_fleet_rollout_") + info->name() + "_" +
+         kind + ".bin";
+}
 
 TEST(FleetRollout, HealthyCanaryPromotesFleetWide) {
+  const std::string good = rollout_path("good");
   const FleetEnv& e = env();
-  save_model_bundle_file(kRolloutGood, bundle_from_bytes(e.bundle_b));
+  save_model_bundle_file(good, bundle_from_bytes(e.bundle_b));
   ServingFleet fleet(make_replicas(3, e.bundle_a));
   fleet.set_probe_windows({e.windows[0]});
 
@@ -459,7 +467,7 @@ TEST(FleetRollout, HealthyCanaryPromotesFleetWide) {
   // slowdown far above any noise floor.
   rollout.max_p99_ratio = 0.0;
   const std::size_t other = (rollout.canary + 1) % 3;
-  const ReloadReport push = fleet.start_rollout(kRolloutGood, rollout);
+  const ReloadReport push = fleet.start_rollout(good, rollout);
   EXPECT_TRUE(push.ok) << push.error;
   EXPECT_EQ(fleet.rollout_state(), RolloutState::Canarying);
   EXPECT_EQ(fleet.host(rollout.canary).generation(), 2u);
@@ -487,20 +495,21 @@ TEST(FleetRollout, HealthyCanaryPromotesFleetWide) {
   EXPECT_FALSE(report.summary().empty());
   // Terminal states answer repeat calls without re-promoting.
   EXPECT_EQ(fleet.advance_rollout(), RolloutDecision::Promoted);
-  std::remove(kRolloutGood);
+  std::remove(good.c_str());
 }
 
 TEST(FleetRollout, PoisonedCanaryPushNeverReachesASecondReplica) {
+  const std::string good = rollout_path("good");
+  const std::string bad = rollout_path("bad");
   const FleetEnv& e = env();
-  save_model_bundle_file(kRolloutGood, bundle_from_bytes(e.bundle_b));
-  write_poisoned_bundle(kRolloutGood, kRolloutBad, BundlePoison::Truncate,
-                        77);
+  save_model_bundle_file(good, bundle_from_bytes(e.bundle_b));
+  write_poisoned_bundle(good, bad, BundlePoison::Truncate, 77);
   ServingFleet fleet(make_replicas(3, e.bundle_a));
   fleet.set_probe_windows({e.windows[0]});
 
   RolloutConfig rollout;
   rollout.canary = 0;
-  const ReloadReport push = fleet.start_rollout(kRolloutBad, rollout);
+  const ReloadReport push = fleet.start_rollout(bad, rollout);
   EXPECT_FALSE(push.ok);
   EXPECT_TRUE(push.rolled_back);
   EXPECT_EQ(fleet.rollout_state(), RolloutState::CanaryRejected);
@@ -514,15 +523,16 @@ TEST(FleetRollout, PoisonedCanaryPushNeverReachesASecondReplica) {
     EXPECT_EQ(res.result.generation, 1u);
   }
   // The failed rollout is terminal, not wedged: a good push works now.
-  const ReloadReport retry = fleet.start_rollout(kRolloutGood, rollout);
+  const ReloadReport retry = fleet.start_rollout(good, rollout);
   EXPECT_TRUE(retry.ok) << retry.error;
-  std::remove(kRolloutGood);
-  std::remove(kRolloutBad);
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
 }
 
 TEST(FleetRollout, SlowCanaryRollsBackOnTheP99Guard) {
+  const std::string good = rollout_path("good");
   const FleetEnv& e = env();
-  save_model_bundle_file(kRolloutGood, bundle_from_bytes(e.bundle_b));
+  save_model_bundle_file(good, bundle_from_bytes(e.bundle_b));
 
   // Canary-only slowdowns, switched on after the push: the bundle loads
   // and validates fine but regresses live latency.
@@ -543,7 +553,7 @@ TEST(FleetRollout, SlowCanaryRollsBackOnTheP99Guard) {
   rollout.guard_min_samples = 4;
   rollout.max_error_rate_delta = 1.0;  // isolate the p99 trigger
   rollout.max_p99_ratio = 2.0;
-  const ReloadReport push = fleet.start_rollout(kRolloutGood, rollout);
+  const ReloadReport push = fleet.start_rollout(good, rollout);
   ASSERT_TRUE(push.ok) << push.error;
   EXPECT_EQ(fleet.host(0).generation(), 2u);
 
@@ -577,18 +587,19 @@ TEST(FleetRollout, SlowCanaryRollsBackOnTheP99Guard) {
   const Diagnosis expected = reference->diagnose(w);
   EXPECT_EQ(after.result.diagnosis.label, expected.label);
   EXPECT_EQ(after.result.diagnosis.probs, expected.probs);
-  std::remove(kRolloutGood);
+  std::remove(good.c_str());
 }
 
 TEST(FleetRollout, StartWhileCanaryingThrows) {
+  const std::string good = rollout_path("good");
   const FleetEnv& e = env();
-  save_model_bundle_file(kRolloutGood, bundle_from_bytes(e.bundle_b));
+  save_model_bundle_file(good, bundle_from_bytes(e.bundle_b));
   ServingFleet fleet(make_replicas(2, e.bundle_a));
   RolloutConfig rollout;
   rollout.canary = 1;
-  ASSERT_TRUE(fleet.start_rollout(kRolloutGood, rollout).ok);
-  EXPECT_THROW(fleet.start_rollout(kRolloutGood, rollout), Error);
-  std::remove(kRolloutGood);
+  ASSERT_TRUE(fleet.start_rollout(good, rollout).ok);
+  EXPECT_THROW(fleet.start_rollout(good, rollout), Error);
+  std::remove(good.c_str());
 }
 
 // ----------------------------------------------------------- fleet chaos ---

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -306,10 +305,9 @@ TEST(DiagnosisService, BitIdenticalToOfflinePipeline) {
   std::vector<Matrix> windows;
   for (const Sample& s : samples) windows.push_back(s.series);
 
-  ServingConfig serving;
-  serving.max_batch = 3;  // force several micro-batches
-  DiagnosisService service(load_from_bytes(e.bundle_bytes), serving);
-  const auto diagnoses = service.diagnose_batch(windows);
+  DiagnosisService service(load_from_bytes(e.bundle_bytes));
+  std::vector<Diagnosis> diagnoses;
+  for (const Matrix& w : windows) diagnoses.push_back(service.diagnose(w));
   const Matrix reference = offline_probs(e, samples);
 
   ASSERT_EQ(diagnoses.size(), windows.size());
@@ -345,34 +343,13 @@ TEST(DiagnosisService, CachesRepeatedWindows) {
   EXPECT_EQ(again.probs, first.probs);
 
   const ServingStats s = service.stats();
-  EXPECT_EQ(s.requests, 2u);
+  EXPECT_EQ(s.windows, 2u);
   EXPECT_EQ(s.cache_hits, 1u);
   EXPECT_EQ(s.cache_misses, 1u);
   EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
 
   service.reset_stats();
-  EXPECT_EQ(service.stats().requests, 0u);
-}
-
-TEST(DiagnosisService, DedupsIdenticalWindowsWithinABatch) {
-  const ServingEnv& e = env();
-  const std::vector<Sample> samples = fresh_samples(e, 1, 882);
-  ASSERT_GE(samples.size(), 2u);
-  const std::vector<Matrix> windows{samples[0].series, samples[1].series,
-                                    samples[0].series, samples[1].series};
-  DiagnosisService service(load_from_bytes(e.bundle_bytes));
-  const auto out = service.diagnose_batch(windows);
-
-  EXPECT_FALSE(out[0].cache_hit);
-  EXPECT_FALSE(out[1].cache_hit);
-  EXPECT_TRUE(out[2].cache_hit);
-  EXPECT_TRUE(out[3].cache_hit);
-  EXPECT_EQ(out[2].probs, out[0].probs);
-  EXPECT_EQ(out[3].probs, out[1].probs);
-
-  const ServingStats s = service.stats();
-  EXPECT_EQ(s.cache_hits, 2u);    // the two intra-batch duplicates
-  EXPECT_EQ(s.cache_misses, 2u);  // the two distinct windows
+  EXPECT_EQ(service.stats().windows, 0u);
 }
 
 TEST(DiagnosisService, CacheCapacityZeroDisablesCaching) {
@@ -434,15 +411,14 @@ TEST(ServingStats, CountersAccumulateWithoutLoss) {
   const ServingEnv& e = env();
   const std::vector<Sample> samples = fresh_samples(e, 1, 991);
   DiagnosisService service(load_from_bytes(e.bundle_bytes));
-  // Many small requests: every request must land in the counters exactly
+  // Many small requests: every window must land in the counters exactly
   // once, and the stats snapshot must agree with itself.
-  constexpr std::uint64_t kRequests = 64;
-  for (std::uint64_t i = 0; i < kRequests; ++i) {
+  constexpr std::uint64_t kWindows = 64;
+  for (std::uint64_t i = 0; i < kWindows; ++i) {
     service.diagnose(samples[i % samples.size()].series);
   }
   const ServingStats s = service.stats();
-  EXPECT_EQ(s.requests, kRequests);
-  EXPECT_EQ(s.windows, kRequests);
+  EXPECT_EQ(s.windows, kWindows);
   EXPECT_EQ(s.cache_hits + s.cache_misses, s.windows);
   EXPECT_EQ(s.cache_misses, samples.size());  // each distinct window once
   EXPECT_GE(s.total_seconds, s.predict_seconds);
@@ -452,34 +428,6 @@ TEST(ServingStats, CountersAccumulateWithoutLoss) {
   EXPECT_GE(s.latency_p999_ms, s.latency_p99_ms);
   EXPECT_GT(s.latency_min_ms, 0.0);
   EXPECT_LE(s.latency_min_ms, s.latency_p50_ms);
-}
-
-// The single-window fast path (diagnose) must be bit-identical to the
-// micro-batch path (diagnose_batch of one) — same label, confidence, and
-// probability bits — on fresh services so neither answers from cache.
-TEST(DiagnosisService, SingleWindowFastPathMatchesBatchPath) {
-  const ServingEnv& e = env();
-  const std::vector<Sample> samples = fresh_samples(e, 1, 993);
-  DiagnosisService single(load_from_bytes(e.bundle_bytes));
-  DiagnosisService batched(load_from_bytes(e.bundle_bytes));
-  for (const Sample& s : samples) {
-    const Diagnosis a = single.diagnose(s.series);
-    const auto b = batched.diagnose_batch({&s.series, 1});
-    ASSERT_EQ(b.size(), 1u);
-    EXPECT_EQ(a.label, b[0].label);
-    ASSERT_EQ(a.probs.size(), b[0].probs.size());
-    for (std::size_t c = 0; c < a.probs.size(); ++c) {
-      std::uint64_t ba = 0, bb = 0;
-      std::memcpy(&ba, &a.probs[c], sizeof ba);
-      std::memcpy(&bb, &b[0].probs[c], sizeof bb);
-      EXPECT_EQ(ba, bb) << "probability bits differ at class " << c;
-    }
-  }
-  // The fast path populates the same cache: a repeat is a hit.
-  EXPECT_TRUE(single.diagnose(samples[0].series).cache_hit);
-  const ServingStats s = single.stats();
-  EXPECT_EQ(s.requests, samples.size() + 1);
-  EXPECT_EQ(s.cache_hits, 1u);
 }
 
 TEST(ServingStats, SnapshotIsConsistentUnderConcurrentDiagnose) {
@@ -493,7 +441,6 @@ TEST(ServingStats, SnapshotIsConsistentUnderConcurrentDiagnose) {
       const ServingStats s = service.stats();
       // Snapshot invariants must hold at every instant, not just at rest.
       if (s.cache_hits + s.cache_misses != s.windows) violations++;
-      if (s.windows < s.requests) violations++;
     }
   });
   std::vector<std::thread> writers;
@@ -508,25 +455,29 @@ TEST(ServingStats, SnapshotIsConsistentUnderConcurrentDiagnose) {
   stop = true;
   reader.join();
   EXPECT_EQ(violations.load(), 0);
-  EXPECT_EQ(service.stats().requests, 36u);
+  EXPECT_EQ(service.stats().windows, 36u);
 }
 
 TEST(ServingStats, CsvExporterMatchesRoundStatsConvention) {
   ServingStats a;
-  a.requests = 3;
   a.windows = 5;
   a.cache_hits = 1;
   a.cache_misses = 4;
   a.total_seconds = 0.5;
   std::vector<std::pair<std::string, ServingStats>> rows;
-  rows.emplace_back("batch=8/threads=2", a);
-  rows.emplace_back("batch=32/threads=4", ServingStats{});
+  rows.emplace_back("threads=2", a);
+  rows.emplace_back("threads=4", ServingStats{});
   std::ostringstream os;
   write_serving_stats_csv(os, rows);
   std::istringstream is(os.str());
   std::string line;
   ASSERT_TRUE(std::getline(is, line));
   EXPECT_EQ(line, serving_stats_csv_header());
+  EXPECT_EQ(line,
+            "label,windows,cache_hits,cache_misses,collision_evictions,"
+            "extract_seconds,predict_seconds,total_seconds,wall_seconds,"
+            "windows_per_second,latency_p50_ms,latency_p99_ms,"
+            "latency_p999_ms,latency_min_ms");
   // Header and rows agree on column count, and the label leads each row.
   const auto columns = [](const std::string& s) {
     return std::count(s.begin(), s.end(), ',') + 1;
@@ -534,7 +485,8 @@ TEST(ServingStats, CsvExporterMatchesRoundStatsConvention) {
   const auto header_cols = columns(line);
   ASSERT_TRUE(std::getline(is, line));
   EXPECT_EQ(columns(line), header_cols);
-  EXPECT_EQ(line.rfind("batch=8/threads=2,", 0), 0u);
+  EXPECT_EQ(columns(line), 14);
+  EXPECT_EQ(line.rfind("threads=2,5,1,4,", 0), 0u);
   ASSERT_TRUE(std::getline(is, line));
   EXPECT_EQ(columns(line), header_cols);
   EXPECT_FALSE(std::getline(is, line));
@@ -692,14 +644,13 @@ TEST(ServingStats, ResetClearsTheWallClockSpan) {
 // write -> parse round trip instead of shearing the columns.
 TEST(ServingStats, CsvLabelsWithCommasSurviveParseBack) {
   ServingStats a;
-  a.requests = 2;
   a.windows = 4;
   a.cache_misses = 4;
   a.total_seconds = 0.25;
   a.wall_seconds = 0.125;
   a.latency_p999_ms = 7.5;
   a.latency_min_ms = 0.25;
-  const std::string tricky = "batch=8,threads=4,\"hot\" pool";
+  const std::string tricky = "threads=4,cache=0,\"hot\" pool";
   std::vector<std::pair<std::string, ServingStats>> rows;
   rows.emplace_back(tricky, a);
   rows.emplace_back("plain", ServingStats{});
@@ -714,6 +665,7 @@ TEST(ServingStats, CsvLabelsWithCommasSurviveParseBack) {
   std::remove(path.c_str());
 
   ASSERT_EQ(table.rows.size(), 2u);
+  ASSERT_EQ(table.header.size(), 14u);
   EXPECT_EQ(table.rows[0].size(), table.header.size());
   EXPECT_EQ(table.rows[0][table.column_index("label")], tricky);
   EXPECT_EQ(table.rows[0][table.column_index("windows")], "4");
@@ -726,13 +678,11 @@ TEST(ServingStats, CsvLabelsWithCommasSurviveParseBack) {
 
 // ---------------------------------------------------- fleet roll-up ---
 
-TEST(ServingStats, MergeSumsCountersAndWeightsPercentilesByRequests) {
+TEST(ServingStats, MergeSumsCountersAndWeightsPercentilesByWindows) {
   ServingStats a;
-  a.requests = 3;
-  a.windows = 6;
-  a.batches = 2;
+  a.windows = 3;
   a.cache_hits = 1;
-  a.cache_misses = 5;
+  a.cache_misses = 2;
   a.extract_seconds = 0.5;
   a.predict_seconds = 0.25;
   a.total_seconds = 1.0;
@@ -742,9 +692,7 @@ TEST(ServingStats, MergeSumsCountersAndWeightsPercentilesByRequests) {
   a.latency_p999_ms = 40.0;
   a.latency_min_ms = 5.0;
   ServingStats b;
-  b.requests = 1;
   b.windows = 1;
-  b.batches = 1;
   b.cache_misses = 1;
   b.collision_evictions = 2;
   b.extract_seconds = 0.1;
@@ -754,33 +702,31 @@ TEST(ServingStats, MergeSumsCountersAndWeightsPercentilesByRequests) {
   b.latency_p99_ms = 4.0;
   b.latency_p999_ms = 8.0;
   b.latency_min_ms = 1.0;
-  ServingStats idle;  // zero requests: must contribute nothing
+  ServingStats idle;  // zero windows: must contribute nothing
   idle.latency_min_ms = 0.0;  // and must not drag the fleet minimum to 0
 
   const std::vector<ServingStats> parts{a, b, idle};
   const ServingStats m = merge_serving_stats(parts);
-  EXPECT_EQ(m.requests, 4u);
-  EXPECT_EQ(m.windows, 7u);
-  EXPECT_EQ(m.batches, 3u);
+  EXPECT_EQ(m.windows, 4u);
   EXPECT_EQ(m.cache_hits, 1u);
-  EXPECT_EQ(m.cache_misses, 6u);
+  EXPECT_EQ(m.cache_misses, 3u);
   EXPECT_EQ(m.collision_evictions, 2u);
   EXPECT_DOUBLE_EQ(m.extract_seconds, 0.6);
   EXPECT_DOUBLE_EQ(m.predict_seconds, 0.25);
   EXPECT_DOUBLE_EQ(m.total_seconds, 1.2);
   EXPECT_DOUBLE_EQ(m.wall_seconds, 3.0);
-  // Request-weighted: (3*10 + 1*2 + 0*anything) / 4.
+  // Window-weighted: (3*10 + 1*2 + 0*anything) / 4.
   EXPECT_DOUBLE_EQ(m.latency_p50_ms, 8.0);
   EXPECT_DOUBLE_EQ(m.latency_p99_ms, 16.0);
   EXPECT_DOUBLE_EQ(m.latency_p999_ms, 32.0);  // (3*40 + 1*8) / 4
-  // Min composes exactly: smallest over replicas that served requests,
+  // Min composes exactly: smallest over replicas that served windows,
   // so the idle replica's 0 does not leak in.
   EXPECT_DOUBLE_EQ(m.latency_min_ms, 1.0);
 
   // All-idle merge: no weight, percentiles stay 0 instead of NaN.
   const std::vector<ServingStats> idles{idle, idle};
   const ServingStats z = merge_serving_stats(idles);
-  EXPECT_EQ(z.requests, 0u);
+  EXPECT_EQ(z.windows, 0u);
   EXPECT_DOUBLE_EQ(z.latency_p50_ms, 0.0);
   EXPECT_DOUBLE_EQ(z.latency_p99_ms, 0.0);
   EXPECT_DOUBLE_EQ(z.latency_p999_ms, 0.0);
@@ -791,7 +737,6 @@ TEST(ServingStats, MergeSumsCountersAndWeightsPercentilesByRequests) {
 // RFC-4180 round trip, tricky replica labels included.
 TEST(ServingStats, FleetCsvParseBackIncludesAggregateRow) {
   ServingStats a;
-  a.requests = 2;
   a.windows = 2;
   a.cache_hits = 1;
   a.cache_misses = 1;
@@ -801,7 +746,6 @@ TEST(ServingStats, FleetCsvParseBackIncludesAggregateRow) {
   a.latency_p999_ms = 16.0;
   a.latency_min_ms = 2.0;
   ServingStats b;
-  b.requests = 6;
   b.windows = 6;
   b.cache_misses = 6;
   b.total_seconds = 0.25;
@@ -827,7 +771,6 @@ TEST(ServingStats, FleetCsvParseBackIncludesAggregateRow) {
             "replica=0,zone=\"a\"");
   EXPECT_EQ(table.rows[1][table.column_index("label")], "replica=1");
   EXPECT_EQ(table.rows[2][table.column_index("label")], "fleet");
-  EXPECT_EQ(table.rows[2][table.column_index("requests")], "8");
   EXPECT_EQ(table.rows[2][table.column_index("windows")], "8");
   EXPECT_EQ(table.rows[2][table.column_index("cache_hits")], "1");
   // Weighted p50: (2*4 + 6*1) / 8 = 1.75.
@@ -867,8 +810,8 @@ TEST(ModelBundle, SaveFailureCarriesErrno) {
   }
 }
 
-// The TSan target: concurrent diagnose/diagnose_batch/stats on one shared
-// service must be race-free and answer every thread bit-identically.
+// The TSan target: concurrent diagnose/stats on one shared service must be
+// race-free and answer every thread bit-identically.
 TEST(DiagnosisService, ConcurrentDiagnoseIsThreadSafe) {
   const ServingEnv& e = env();
   const std::vector<Sample> samples = fresh_samples(e, 2, 884);
@@ -880,7 +823,9 @@ TEST(DiagnosisService, ConcurrentDiagnoseIsThreadSafe) {
   ServingConfig serving;
   serving.cache_capacity = 2;
   DiagnosisService service(load_from_bytes(e.bundle_bytes), serving);
-  const auto reference = service.diagnose_batch(windows);
+  DiagnosisService fresh(load_from_bytes(e.bundle_bytes));
+  std::vector<Diagnosis> reference;
+  for (const Matrix& w : windows) reference.push_back(fresh.diagnose(w));
 
   constexpr int kThreads = 4;
   constexpr int kIters = 8;
@@ -902,9 +847,7 @@ TEST(DiagnosisService, ConcurrentDiagnoseIsThreadSafe) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   const ServingStats s = service.stats();
-  EXPECT_EQ(s.requests, static_cast<std::size_t>(kThreads * kIters) + 1);
-  EXPECT_EQ(s.windows,
-            static_cast<std::size_t>(kThreads * kIters) + windows.size());
+  EXPECT_EQ(s.windows, static_cast<std::size_t>(kThreads * kIters));
 }
 
 }  // namespace

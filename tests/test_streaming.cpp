@@ -287,7 +287,7 @@ TEST(StreamIngest, GapFillAheadOfTheAnchorRepairsExactly) {
   EXPECT_EQ(s.missing_rows, 0u);  // net: marked missing, then repaired
 }
 
-TEST(StreamIngest, RepairBehindTheFoldFallsBackToBatchRecompute) {
+TEST(StreamIngest, LateRowBehindDeliveredRowsLandsInTheWindow) {
   const MetricRegistry registry = test_registry();
   StreamIngestConfig cfg;
   cfg.window_length = 48;
@@ -318,7 +318,7 @@ TEST(StreamIngest, RepairBehindTheFoldFallsBackToBatchRecompute) {
   EXPECT_EQ(s.reordered, 1u);
 }
 
-TEST(StreamIngest, BoundedSkewReplayStaysCorrectViaRecompute) {
+TEST(StreamIngest, BoundedSkewReplayEmitsCompleteWindows) {
   const MetricRegistry registry = test_registry();
   StreamIngestConfig cfg;
   cfg.window_length = 48;
@@ -607,7 +607,7 @@ TEST(StreamThreads, ChildReplayAndHash) {
 // Streaming is single-threaded by design, but its outputs must not depend
 // on the process-wide pool size (registry setup must stay off the pool):
 // re-exec with ALBA_THREADS pinned and compare.
-TEST(StreamThreads, FeaturesIdenticalAcrossPoolSizes) {
+TEST(StreamThreads, WindowsIdenticalAcrossPoolSizes) {
   char self[4096];
   const ssize_t len = readlink("/proc/self/exe", self, sizeof self - 1);
   if (len <= 0) GTEST_SKIP() << "/proc/self/exe unavailable";
