@@ -113,13 +113,11 @@ TrafficTally drive(ServingFleet& fleet, const std::vector<Matrix>& windows,
       for (int round = 0; round < rounds; ++round) {
         for (std::size_t i = c; i < windows.size(); i += clients) {
           try {
-            const FleetResult r = fleet.diagnose(windows[i]);
-            switch (r.status) {
-              case FleetStatus::Ok: ++ok; break;
-              case FleetStatus::Failed: ++failed; break;
-              case FleetStatus::AllShed: ++all_shed; break;
-              default: ++untyped; break;
-            }
+            const DiagnosisResult r = fleet.diagnose({&windows[i]});
+            if (r.ok()) ++ok;
+            else if (r.status == RequestStatus::Failed) ++failed;
+            else if (is_rejection(r.status)) ++all_shed;
+            else ++untyped;
           } catch (...) {
             ++untyped;
           }
@@ -260,10 +258,10 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
         for (int round = 0; round < kRounds; ++round) {
           for (std::size_t i = c; i < windows.size(); i += kClients) {
             try {
-              const FleetResult r = fleet->diagnose(windows[i]);
-              if (r.status == FleetStatus::Ok) ++ok;
-              else if (r.status == FleetStatus::Failed) ++failed;
-              else if (r.status == FleetStatus::AllShed) ++all_shed;
+              const DiagnosisResult r = fleet->diagnose({&windows[i]});
+              if (r.ok()) ++ok;
+              else if (r.status == RequestStatus::Failed) ++failed;
+              else if (is_rejection(r.status)) ++all_shed;
               else ++untyped;
             } catch (...) {
               ++untyped;
@@ -298,7 +296,8 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
     // (probes while it was merely ejected-but-alive were legitimate).
     const std::uint64_t probes_at_kill = s.replicas[victim].probes;
     for (std::size_t i = 0; i < 16; ++i) {
-      const FleetResult r = fleet->diagnose(windows[i % windows.size()]);
+      const DiagnosisResult r =
+          fleet->diagnose({&windows[i % windows.size()]});
       check(r.ok() && r.replica != victim, "post-kill request hit the corpse");
     }
     check(fleet->stats().replicas[victim].probes == probes_at_kill,
@@ -350,8 +349,8 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
       check(fleet->host(r).generation() == 1,
             "a replica changed generation under a poisoned push");
     }
-    const FleetResult after = fleet->diagnose(windows[2]);
-    check(after.ok() && after.result.generation == 1,
+    const DiagnosisResult after = fleet->diagnose({&windows[2]});
+    check(after.ok() && after.generation == 1,
           "fleet stopped serving generation 1 after the rejected push");
   }
 
@@ -380,7 +379,7 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
     RolloutDecision decision = RolloutDecision::NeedMoreTraffic;
     for (int i = 0;
          i < 2000 && decision == RolloutDecision::NeedMoreTraffic; ++i) {
-      (void)fleet->diagnose(windows[i % windows.size()]);
+      (void)fleet->diagnose({&windows[i % windows.size()]});
       decision = fleet->advance_rollout();
     }
     chaos.set_enabled(false);
@@ -408,7 +407,7 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
     RolloutDecision decision = RolloutDecision::NeedMoreTraffic;
     for (int i = 0;
          i < 2000 && decision == RolloutDecision::NeedMoreTraffic; ++i) {
-      (void)fleet->diagnose(windows[i % windows.size()]);
+      (void)fleet->diagnose({&windows[i % windows.size()]});
       decision = fleet->advance_rollout();
     }
     std::printf("[chaos-smoke] promote: %s\n",
@@ -422,9 +421,9 @@ int run_chaos_smoke(const std::vector<Matrix>& windows, std::uint64_t seed) {
 
     // ---- phase 6: fleet drain is terminal and typed ---------------------
     fleet->drain();
-    const FleetResult shed = fleet->diagnose(windows[0]);
-    check(shed.status == FleetStatus::AllShed &&
-              shed.result.status == RequestStatus::RejectedDraining,
+    const DiagnosisResult shed = fleet->diagnose({&windows[0]});
+    check(is_rejection(shed.status) &&
+              shed.status == RequestStatus::RejectedDraining,
           "post-drain submission was not shed as draining");
     fleet->drain();  // idempotent
   }

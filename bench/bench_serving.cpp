@@ -134,7 +134,9 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
   {
     const auto clean = make_chaos_free();
     for (const Matrix& w : stream.windows) {
-      reference.push_back(clean->diagnose(w));
+      const DiagnosisResult r = clean->diagnose({&w});
+      check(r.ok(), "the chaos-free reference pipeline failed");
+      reference.push_back(r.diagnosis);
     }
   }
 
@@ -167,7 +169,8 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
           try {
             const Deadline deadline = Deadline::at(
                 Deadline::Clock::now() + budget);
-            const HostResult r = host.diagnose(stream.windows[i], deadline);
+            const DiagnosisResult r =
+                host.diagnose({&stream.windows[i], deadline});
             if (r.ok()) {
               ++ok;
               if (deadline.expired()) ++late_ok;
@@ -227,8 +230,8 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
     for (std::size_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
         try {
-          const HostResult r =
-              host.diagnose(stream.windows[c], Deadline::after_ms(5.0));
+          const DiagnosisResult r =
+              host.diagnose({&stream.windows[c], Deadline::after_ms(5.0)});
           if (r.ok()) ++ok;
           if (is_rejection(r.status)) ++shed;
         } catch (...) {
@@ -253,7 +256,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
   {
     ServiceHost host(make_chaos_free());
     host.set_probe_windows({stream.windows[0], stream.windows[1]});
-    const HostResult before = host.diagnose(stream.windows[2]);
+    const DiagnosisResult before = host.diagnose({&stream.windows[2]});
     check(before.ok(), "reload phase: baseline request failed");
 
     for (const auto& [poison, name] :
@@ -265,7 +268,7 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
                   report.summary().c_str());
       check(!report.ok && report.rolled_back,
             "poisoned bundle was accepted");
-      const HostResult after = host.diagnose(stream.windows[2]);
+      const DiagnosisResult after = host.diagnose({&stream.windows[2]});
       check(after.ok() && after.generation == 1 &&
                 same_diagnosis(after.diagnosis, before.diagnosis),
             "rollback did not leave the old bundle serving bit-identically");
@@ -278,21 +281,21 @@ int run_chaos_smoke(const Stream& stream, std::uint64_t seed) {
     std::printf("[chaos-smoke] reload(bit-flip): %s\n",
                 flip.summary().c_str());
     check(flip.ok != flip.rolled_back, "bit-flip reload in limbo");
-    check(host.diagnose(stream.windows[2]).ok(),
+    check(host.diagnose({&stream.windows[2]}).ok(),
           "host stopped serving after a bit-flip push");
 
     // And a genuine upgrade still goes through after all that abuse.
     const ReloadReport good = host.reload_from_file(kBundlePath);
     check(good.ok && host.generation() == good.generation,
           "clean reload failed after poisoned pushes");
-    const HostResult upgraded = host.diagnose(stream.windows[2]);
+    const DiagnosisResult upgraded = host.diagnose({&stream.windows[2]});
     check(upgraded.ok() && upgraded.generation == good.generation &&
               same_diagnosis(upgraded.diagnosis, before.diagnosis),
           "reloaded bundle does not serve bit-identically");
 
     // ---- phase 4: drain is terminal and typed ---------------------------
     host.drain();
-    check(host.diagnose(stream.windows[0]).status ==
+    check(host.diagnose({&stream.windows[0]}).status ==
               RequestStatus::RejectedDraining,
           "post-drain submission was not shed as draining");
     check(host.health() == HostHealth::Draining, "drain left wrong health");
@@ -665,8 +668,11 @@ int main(int argc, char** argv) {
     DiagnosisService service(load_model_bundle_file(kBundlePath));
     std::vector<Diagnosis> diagnoses;
     diagnoses.reserve(stream.windows.size());
+    std::size_t disagreements = 0;  // a window not served Ok disagrees
     for (const Matrix& w : stream.windows) {
-      diagnoses.push_back(service.diagnose(w));
+      const DiagnosisResult r = service.diagnose({&w});
+      if (!r.ok()) ++disagreements;
+      diagnoses.push_back(r.diagnosis);
     }
     const Matrix reference =
         offline_probs(stream, generator, cfg, service.bundle(), prepared,
@@ -682,7 +688,6 @@ int main(int argc, char** argv) {
           return prepared.selector.transform(x);
         }());
 
-    std::size_t disagreements = 0;
     for (std::size_t i = 0; i < diagnoses.size(); ++i) {
       if (diagnoses[i].label != offline_labels[i]) ++disagreements;
       for (std::size_t c = 0; c < diagnoses[i].probs.size(); ++c) {
@@ -724,7 +729,7 @@ int main(int argc, char** argv) {
     for (std::size_t t = 0; t < threads; ++t) {
       callers.emplace_back([&] {
         for (std::size_t i = next++; i < stream.windows.size(); i = next++) {
-          (void)service.diagnose(stream.windows[i]);
+          (void)service.diagnose({&stream.windows[i]});
         }
       });
     }

@@ -421,7 +421,9 @@ std::size_t diagnosis_parity_gate(std::uint64_t seed) {
   spec.run_id = 9900;
   spec.seed = seed + 777;
   const Sample sample = generator.generate_run(spec)[0];
-  const Diagnosis reference = service.diagnose(sample.series);
+  const DiagnosisResult in_process = service.diagnose({&sample.series});
+  check(in_process.ok(), "in-process reference diagnose failed");
+  const Diagnosis& reference = in_process.diagnosis;
 
   // One tumbling window spanning the run makes the served window's raw
   // matrix the series itself.

@@ -53,7 +53,7 @@ int main() {
   // ---- deployment phase --------------------------------------------------
   // The endpoint: bounded queue, two workers, a default deadline so a
   // stuck pipeline pass can never hold a caller forever. diagnose() always
-  // returns a typed HostResult — overload and deadline misses are
+  // returns a typed DiagnosisResult — overload and deadline misses are
   // statuses, not exceptions.
   std::printf("[deploy] hosting %s behind admission control\n\n",
               bundle_path.c_str());
@@ -96,7 +96,7 @@ int main() {
     std::printf("run %3d  %-10s input %d, %d nodes:\n", spec.run_id,
                 app.c_str(), spec.input_id, spec.nodes);
     for (std::size_t node = 0; node < samples.size(); ++node) {
-      const HostResult r = host.diagnose(samples[node].series);
+      const DiagnosisResult r = host.diagnose({&samples[node].series});
       if (!r.ok()) {  // shed or failed — typed, never an exception
         std::printf("    node %zu: [%s] %s\n", node,
                     std::string(to_string(r.status)).c_str(),
@@ -143,7 +143,7 @@ int main() {
 
   const ReloadReport good_push = host.reload_from_file(bundle_path);
   std::printf("[reload] fixed push:     %s\n", good_push.summary().c_str());
-  const HostResult after = host.diagnose(recheck[0].series);
+  const DiagnosisResult after = host.diagnose({&recheck[0].series});
   std::printf("[reload] generation %llu now serving (recheck: %s)\n",
               static_cast<unsigned long long>(host.generation()),
               after.ok()
@@ -155,7 +155,7 @@ int main() {
   // Everything admitted finishes; everything after is shed with a typed
   // status a load balancer can act on.
   host.drain();
-  const HostResult post_drain = host.diagnose(recheck[0].series);
+  const DiagnosisResult post_drain = host.diagnose({&recheck[0].series});
   std::printf("\n[drain] host %s; post-drain request -> %s\n",
               std::string(to_string(host.health())).c_str(),
               std::string(to_string(post_drain.status)).c_str());

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo check: the tier-1 build + test suite, a serving smoke run (train a
+# Repo check: the tier-1 build + test suite, the benchmark's own tests
+# (perfbench builds against src/serving), a serving smoke run (train a
 # tiny model, export a bundle, serve 100 windows, assert bit-identical
 # agreement with the offline pipeline), a serving chaos smoke (burst a
 # ServiceHost under injected slow/failing extractions and poisoned bundle
@@ -44,6 +45,10 @@ echo "== tier 1: build + ctest =="
 cmake -B build -S . > /dev/null
 cmake --build build -j"$(nproc)" > /dev/null
 (cd build && ctest --output-on-failure -j"$(nproc)")
+
+echo
+echo "== perfbench tests: the benchmark builds and runs at tiny size =="
+python3 perfbench/test_perfbench.py
 
 echo
 echo "== serving smoke: export bundle + serve 100 windows =="

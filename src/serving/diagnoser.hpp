@@ -1,11 +1,8 @@
 // The unified serving interface: one request/response contract implemented
-// by every serving tier. The three tiers grew three incompatible entry
-// points — DiagnosisService::diagnose returns a Diagnosis and throws,
-// ServiceHost::diagnose returns a HostResult with typed shedding, and
-// ServingFleet::diagnose returns a FleetResult wrapping a HostResult. A
-// front end that feeds windows into serving (the streaming trigger in
-// src/streaming, a replay tool, a test harness) had to special-case all
-// three. Diagnoser collapses them:
+// by every serving tier (DiagnosisService, ServiceHost, ServingFleet), and
+// their only public diagnose. A front end that feeds windows into serving
+// (the streaming trigger in src/streaming, a replay tool, a test harness)
+// writes `tier.diagnose({&window, deadline})` whatever the tier:
 //
 //   DiagnoseRequest  — a borrowed window view plus a deadline;
 //   DiagnosisResult  — a typed RequestStatus, the Diagnosis when Ok, and
@@ -15,17 +12,16 @@
 //
 // Contract, uniform across tiers:
 //   * diagnose never throws on overload, deadline, drain, health, or
-//     pipeline failure — those are statuses (a shape mismatch against the
-//     bundle is still a programming error and may throw);
+//     pipeline failure — those are statuses; a window whose shape does not
+//     match the bundle is a pipeline failure (Failed, `error` names it);
 //   * status == Ok implies the result met its deadline and `diagnosis` is
 //     meaningful; any other status leaves `diagnosis` default;
 //   * a tier without a concept fills the neutral value (a bare
-//     DiagnosisService reports generation 1, replica 0, attempts 1).
+//     DiagnosisService reports generation 1, replica 0, attempts 1);
+//   * `attempts` counts the replicas a fleet tried, so it is 0 when the
+//     fleet tried none (draining, or no replica left to route to).
 //
-// The per-tier convenience overloads (HostResult, FleetResult) remain the
-// Tier-2 surface for callers that need tier-specific fields; new code and
-// anything generic over tiers should use this interface. The free
-// diagnose_with_retry works against any tier.
+// The free diagnose_with_retry works against any tier.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +73,7 @@ bool is_retriable(RequestStatus status) noexcept;
 /// deadline it must answer by. The window must stay alive for the duration
 /// of the diagnose call (every tier's diagnose blocks, so a stack-owned
 /// window is fine). A never() deadline lets tiers with a configured
-/// default_deadline_ms apply it, matching their legacy overloads.
+/// default_deadline_ms apply it.
 struct DiagnoseRequest {
   const Matrix* window = nullptr;
   Deadline deadline = Deadline::never();
@@ -86,8 +82,9 @@ struct DiagnoseRequest {
 /// One request's uniform outcome. `diagnosis` is meaningful only when
 /// `status == Ok`; `generation` names the bundle that served it (0 = never
 /// served); `replica`/`attempts`/`spilled` are fleet provenance (replica 0,
-/// attempts 1, spilled false from single-instance tiers); timings cover
-/// queue wait and service time where the tier tracks them.
+/// attempts 1, spilled false from single-instance tiers; a fleet that tried
+/// no replica reports attempts 0); timings cover queue wait and service
+/// time where the tier tracks them.
 struct DiagnosisResult {
   RequestStatus status = RequestStatus::Failed;
   Diagnosis diagnosis;

@@ -49,14 +49,11 @@ struct ServingConfig {
   std::size_t cache_capacity = 1024;
   // Called once per window at the start of feature extraction; the chaos
   // harness (serving/chaos.hpp) uses it to inject slow or failing
-  // extractions. A throw from the hook aborts that window's pipeline pass
-  // and propagates out of diagnose — exactly like a real extraction
+  // extractions. A throw from the hook aborts that window's pipeline pass,
+  // which diagnose reports as Failed — exactly like a real extraction
   // failure. Leave empty in production.
   std::function<void(const Matrix&)> extraction_hook;
 };
-
-// Diagnosis itself lives in serving/diagnoser.hpp with the rest of the
-// tier-uniform request/response types.
 
 /// Full cache identity of a raw window: the 64-bit FNV-1a content hash
 /// plus a cheap verifier (shape and the bit patterns of the first and last
@@ -123,16 +120,14 @@ class DiagnosisService : public Diagnoser {
   /// configuration.
   explicit DiagnosisService(ModelBundle bundle, ServingConfig config = {});
 
-  /// Diagnoses one raw T x M window (M must match the bundle's registry,
-  /// T must exceed the configured trim; throws alba::Error otherwise).
-  Diagnosis diagnose(const Matrix& window);
-
-  /// Diagnoser interface: the non-throwing, deadline-aware entry point.
-  /// Pipeline exceptions become status Failed; a request whose deadline is
-  /// already expired (or that finishes past it) comes back RejectedDeadline
-  /// with no diagnosis — the Ok-met-its-deadline contract of the hosted
-  /// tiers, honored here too. Reports generation 1 (a bare service never
-  /// reloads), replica 0, attempts 1.
+  /// Diagnoses one raw T x M window. Never throws for the window: a
+  /// pipeline error — including a window whose M differs from the bundle's
+  /// registry or whose T does not exceed the configured trim — comes back
+  /// Failed with `error` naming it; a request whose deadline is already
+  /// expired (or that finishes past it) comes back RejectedDeadline with no
+  /// diagnosis, the Ok-met-its-deadline contract of the hosted tiers.
+  /// Reports generation 1 (a bare service never reloads), replica 0,
+  /// attempts 1.
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
 
   const ModelBundle& bundle() const noexcept { return bundle_; }
@@ -153,6 +148,9 @@ class DiagnosisService : public Diagnoser {
     std::vector<std::pair<std::size_t, std::size_t>> outputs;
   };
 
+  // The pipeline body behind diagnose; throws alba::Error on a malformed
+  // window or a failed extraction.
+  Diagnosis run_pipeline(const Matrix& window);
   void extract_row(const Matrix& window, std::span<double> out) const;
   void record_request(std::chrono::steady_clock::time_point start,
                       std::chrono::steady_clock::time_point end,
@@ -176,8 +174,7 @@ class DiagnosisService : public Diagnoser {
   // wall-clock span endpoints: first request start, latest request end.
   mutable std::mutex stats_mutex_;
   ServingStats totals_;
-  std::vector<double> latency_ring_;
-  std::size_t latency_next_ = 0;
+  OutcomeWindow latency_{kLatencyWindow};
   bool span_started_ = false;
   std::chrono::steady_clock::time_point span_first_{};
   std::chrono::steady_clock::time_point span_last_{};

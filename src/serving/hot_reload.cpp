@@ -26,7 +26,10 @@ std::shared_ptr<DiagnosisService> build_validated_service(
         std::make_shared<DiagnosisService>(std::move(bundle), config);
     const std::size_t classes = service->bundle().label_names.size();
     for (const Matrix& probe : probes) {
-      const Diagnosis d = service->diagnose(probe);
+      const DiagnosisResult r = service->diagnose(DiagnoseRequest{&probe});
+      ALBA_CHECK(r.ok()) << "probe " << report.probes_run << " came back "
+                         << to_string(r.status) << ": " << r.error;
+      const Diagnosis& d = r.diagnosis;
       ALBA_CHECK(d.probs.size() == classes)
           << "probe produced " << d.probs.size() << " class probabilities, "
           << "bundle advertises " << classes;

@@ -1,7 +1,7 @@
 // Overload-safe host around DiagnosisService: the layer that keeps the
 // diagnosis path answering — with typed answers — while the cluster
-// misbehaves. DiagnosisService is a library object: call it and it either
-// returns or throws, however long that takes. A production endpoint needs
+// misbehaves. DiagnosisService is a library object: call it and it
+// answers, however long that takes. A production endpoint needs
 // more: a bound on concurrent work, a bound on waiting work, per-request
 // deadlines, an admission decision that reflects recent health, a drain
 // path for shutdown, and bundle swaps that cannot tear. ServiceHost adds
@@ -12,9 +12,9 @@
 //    with RequestStatus::RejectedQueueFull instead of piling latency onto
 //    everyone behind it;
 //  * deadlines — every request carries a Deadline; expired requests are
-//    shed at dequeue (no work wasted) and requests that finish late are
-//    reported as RejectedDeadline, so an Ok result *always* met its
-//    deadline;
+//    shed at dequeue (no work wasted) and requests that finish late come
+//    back from the service as RejectedDeadline (counted as deadline
+//    misses), so an Ok result *always* met its deadline;
 //  * health — a rolling window over recent completions trips the host
 //    Unhealthy on error-rate or p99 breach; while unhealthy, admissions
 //    are shed (RejectedUnhealthy) except a deterministic 1-in-N probe
@@ -50,10 +50,6 @@
 
 namespace alba {
 
-// RequestStatus and its to_string/is_rejection/is_retriable helpers live in
-// serving/diagnoser.hpp (pulled in via diagnosis_service.hpp) — they are
-// the tier-uniform outcome vocabulary, not a host-only concept.
-
 struct HostConfig {
   // Worker threads serving the queue; also the bound on concurrent
   // pipeline passes.
@@ -61,8 +57,8 @@ struct HostConfig {
   // Waiting requests beyond the ones being served; 0 means "reject
   // whenever every worker is busy".
   std::size_t queue_capacity = 64;
-  // Deadline applied by diagnose(window) when the caller brings none;
-  // <= 0 means no default deadline.
+  // Deadline applied to a request whose deadline is never(); <= 0 means
+  // no default deadline.
   double default_deadline_ms = 0.0;
 
   // Health window: outcomes of the last `health_window` completed
@@ -75,21 +71,6 @@ struct HostConfig {
   double unhealthy_error_rate = 0.5;
   double unhealthy_p99_ms = 0.0;
   std::size_t probe_every = 4;
-};
-
-/// One hosted request's outcome. `diagnosis` is meaningful only when
-/// `status == Ok`; `generation` names the bundle that served it (0 =
-/// never served); timings cover queue wait and service time.
-struct HostResult {
-  RequestStatus status = RequestStatus::Failed;
-  Diagnosis diagnosis;
-  std::string error;        // what() of the pipeline failure, for Failed
-  std::uint64_t generation = 0;
-  double queue_ms = 0.0;    // admission -> dequeue
-  double service_ms = 0.0;  // dequeue -> completion
-  double total_ms = 0.0;    // admission -> completion (or rejection)
-
-  bool ok() const noexcept { return status == RequestStatus::Ok; }
 };
 
 /// Host health, coarsened for readiness checks: Ready serves everything,
@@ -136,17 +117,12 @@ class ServiceHost : public Diagnoser {
   ServiceHost(const ServiceHost&) = delete;
   ServiceHost& operator=(const ServiceHost&) = delete;
 
-  /// Admits, waits, and returns the typed outcome. Never throws on
-  /// overload, deadline, drain, health, or pipeline failure — those are
-  /// all statuses. The window must stay alive for the duration of the
-  /// call (it does: the call blocks).
-  HostResult diagnose(const Matrix& window);
-  HostResult diagnose(const Matrix& window, Deadline deadline);
-
-  /// Diagnoser interface: same admission/deadline/health semantics as the
-  /// HostResult overloads, mapped onto the uniform result (replica 0,
-  /// attempts 1). A never() deadline applies config.default_deadline_ms,
-  /// matching diagnose(window).
+  /// Admits, waits, and returns the typed outcome (replica 0, attempts 1;
+  /// `generation` is the bundle that served it, 0 when shed before any
+  /// service ran). Never throws on overload, deadline, drain, health, or
+  /// pipeline failure — those are all statuses. A never() deadline applies
+  /// config.default_deadline_ms. The window must stay alive for the
+  /// duration of the call (it does: the call blocks).
   DiagnosisResult diagnose(const DiagnoseRequest& request) override;
 
   /// Validates `bundle` against the probe set and atomically swaps it in;
@@ -181,13 +157,14 @@ class ServiceHost : public Diagnoser {
     const Matrix* window = nullptr;  // caller-owned; caller blocks until done
     Deadline deadline = Deadline::never();
     Deadline::Clock::time_point admitted_at;
-    std::promise<HostResult> promise;
+    std::promise<DiagnosisResult> promise;
   };
 
   void worker_loop();
   // Admission decision + enqueue; returns the future to wait on, or
   // fulfills immediately on rejection.
-  std::future<HostResult> submit(const Matrix& window, Deadline deadline);
+  std::future<DiagnosisResult> submit(const Matrix& window,
+                                     Deadline deadline);
   // Reload plumbing: snapshot the serving config + probe set, then swap
   // the validated service in (or record the rollback).
   std::pair<ServingConfig, std::vector<Matrix>> reload_inputs() const;
@@ -218,15 +195,10 @@ class ServiceHost : public Diagnoser {
   bool stop_ = false;
   std::uint64_t admission_counter_ = 0;  // drives the 1-in-N probe trickle
   HostStats totals_;
-  // Rolling outcome window (health + percentiles): one entry per
-  // completed admission, newest overwrite oldest.
-  struct Outcome {
-    bool failed = false;
-    double queue_ms = 0.0;
-    double total_ms = 0.0;
-  };
-  std::vector<Outcome> window_;
-  std::size_t window_next_ = 0;
+  // Rolling windows over the last health_window pipeline passes: total
+  // latency (the breaker and total percentiles) and queue wait.
+  OutcomeWindow health_;
+  OutcomeWindow queue_wait_;
 
   std::vector<std::thread> workers_;
 };

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/csv.hpp"
+#include "common/error.hpp"
 #include "common/string_util.hpp"
 
 namespace alba {
@@ -20,6 +21,49 @@ double latency_percentile(std::span<const double> latencies_ms, double q) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+OutcomeWindow::OutcomeWindow(std::size_t capacity) : capacity_(capacity) {
+  ALBA_CHECK(capacity_ > 0) << "OutcomeWindow needs a positive capacity";
+  ms_.reserve(capacity_);
+  failed_.reserve(capacity_);
+}
+
+void OutcomeWindow::record(double ms, bool failed) {
+  if (ms_.size() < capacity_) {
+    ms_.push_back(ms);
+    failed_.push_back(failed);
+  } else {
+    failures_ -= failed_[next_] ? 1 : 0;
+    ms_[next_] = ms;
+    failed_[next_] = failed;
+  }
+  failures_ += failed ? 1 : 0;
+  next_ = (next_ + 1) % capacity_;
+}
+
+void OutcomeWindow::clear() noexcept {
+  ms_.clear();
+  failed_.clear();
+  next_ = 0;
+  failures_ = 0;
+}
+
+double OutcomeWindow::error_rate() const noexcept {
+  return ms_.empty() ? 0.0
+                     : static_cast<double>(failures_) /
+                           static_cast<double>(ms_.size());
+}
+
+double OutcomeWindow::percentile(double q) const {
+  return latency_percentile(ms_, q);
+}
+
+bool OutcomeWindow::breached(std::size_t min_samples, double max_error_rate,
+                             double max_p99_ms) const {
+  if (ms_.size() < min_samples) return false;
+  if (error_rate() > max_error_rate) return true;
+  return max_p99_ms > 0.0 && percentile(0.99) > max_p99_ms;
 }
 
 std::string format_serving_summary(const ServingStats& s) {

@@ -14,12 +14,13 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace alba {
 
 /// Snapshot of a DiagnosisService's counters since construction (or the
 /// last reset_stats). Latency percentiles cover the most recent windows
-/// (a bounded ring; see DiagnosisService::kLatencyWindow).
+/// (an OutcomeWindow of DiagnosisService::kLatencyWindow samples).
 struct ServingStats {
   std::uint64_t windows = 0;       // windows diagnosed, cache hits included
   std::uint64_t cache_hits = 0;    // windows answered from the LRU cache
@@ -59,6 +60,41 @@ struct ServingStats {
 /// Linear-interpolation percentile over unsorted samples; q in [0, 1].
 /// Returns 0 for an empty span.
 double latency_percentile(std::span<const double> latencies_ms, double q);
+
+/// Fixed-capacity ring of the most recent (latency ms, failed) outcomes —
+/// the one rolling window behind every serving tier's latency percentiles
+/// and circuit breakers (service latency ring, host health and queue
+/// windows, fleet per-replica windows, rollout guard windows). Once full,
+/// each record overwrites the oldest sample. Not thread-safe: the owner
+/// guards it with the lock that guards its other counters.
+class OutcomeWindow {
+ public:
+  explicit OutcomeWindow(std::size_t capacity);
+
+  void record(double ms, bool failed);
+  void clear() noexcept;
+
+  std::size_t size() const noexcept { return ms_.size(); }
+  /// Fraction of the held samples that failed; 0 when empty.
+  double error_rate() const noexcept;
+  /// latency_percentile over the held samples.
+  double percentile(double q) const;
+  /// The held latencies, in ring (not arrival) order.
+  std::span<const double> samples() const noexcept { return ms_; }
+
+  /// The breaker predicate: with at least `min_samples` held, true when
+  /// error_rate() > max_error_rate (strict) or, if max_p99_ms > 0, when
+  /// percentile(0.99) > max_p99_ms.
+  bool breached(std::size_t min_samples, double max_error_rate,
+                double max_p99_ms) const;
+
+ private:
+  std::size_t capacity_;
+  std::size_t next_ = 0;
+  std::size_t failures_ = 0;
+  std::vector<double> ms_;
+  std::vector<bool> failed_;
+};
 
 /// One human-readable line, e.g.
 ///   "640 windows: 123.4 win/s, p50 1.2ms, p99 4.5ms, cache 37.5%
