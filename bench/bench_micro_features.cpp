@@ -1,7 +1,7 @@
 // Microbenchmarks for the telemetry + feature-extraction substrates: node
 // simulation throughput, preprocessing, and per-series cost of the MVTS and
 // TSFRESH-like extractors (including the O(n²) entropy features that
-// dominate TSFRESH).
+// dominate TSFRESH), full set vs a compiled plan of a few selected features.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -82,6 +82,36 @@ void BM_TsfreshExtract(benchmark::State& state) {
                           static_cast<std::int64_t>(ts.num_features()));
 }
 BENCHMARK(BM_TsfreshExtract)->Arg(89)->Arg(589);
+
+// A compiled FeaturePlan on one 52-point metric column (a Volta serving
+// window after trimming): range(0) picks the extractor (0 MVTS,
+// 1 TSFRESH), range(1) the selection — 10 evenly spaced features, the
+// scale of one metric's share of a served bundle, or 0 for the full set
+// (what FeatureExtractor::extract runs).
+void BM_PlanExtract(benchmark::State& state) {
+  const auto extractor =
+      make_extractor(state.range(0) == 0 ? ExtractorKind::Mvts
+                                         : ExtractorKind::Tsfresh);
+  const std::size_t f = extractor->num_features();
+  const auto k = static_cast<std::size_t>(state.range(1));
+  std::vector<std::size_t> indices(k == 0 ? f : k);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    indices[i] = i * f / indices.size();
+  }
+  const FeaturePlan plan = extractor->plan(indices);
+  const auto x = random_series(52, 6);
+  std::vector<double> out(plan.size());
+  FeatureScratch scratch;
+  for (auto _ : state) {
+    plan.run(x, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(extractor->name() + (k == 0 ? " all" : " selected"));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(plan.size()));
+}
+BENCHMARK(BM_PlanExtract)->ArgsProduct({{0, 1}, {10, 0}});
 
 void BM_ApproximateEntropy(benchmark::State& state) {
   const auto x = random_series(static_cast<std::size_t>(state.range(0)), 4);

@@ -95,10 +95,11 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j"$(nproc)" --target \
   test_common test_thread_pool test_linalg test_stats_descriptive \
   test_stats_spectral test_anomaly test_telemetry test_features \
-  test_preprocess test_ml_metrics test_binning test_ml_trees \
-  test_compiled_tree test_ml_linear test_ml_tools test_active \
-  test_active_ext test_core test_properties test_faults test_serving \
-  test_service_host test_fleet test_streaming test_wire > /dev/null
+  test_feature_plan test_preprocess test_ml_metrics test_binning \
+  test_ml_trees test_compiled_tree test_ml_linear test_ml_tools \
+  test_active test_active_ext test_core test_properties test_faults \
+  test_serving test_service_host test_fleet test_streaming \
+  test_wire > /dev/null
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 # A torn FleetStats snapshot shows up only under contention, so one pass
 # proves little: repeat the snapshot-consistency test in isolation.

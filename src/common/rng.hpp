@@ -18,6 +18,14 @@
 
 namespace alba {
 
+/// SplitMix64's output finalizer: a bijective 64-bit avalanche mix (every
+/// input bit flips each output bit with probability ~1/2).
+constexpr std::uint64_t splitmix_finalize(std::uint64_t z) noexcept {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// SplitMix64: tiny, fast generator used for seeding and stream splitting.
 class SplitMix64 {
  public:
@@ -25,10 +33,7 @@ class SplitMix64 {
   explicit SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
   std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9E3779B97f4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
+    return splitmix_finalize(state_ += 0x9E3779B97f4A7C15ULL);
   }
   std::uint64_t operator()() noexcept { return next(); }
   static constexpr std::uint64_t min() noexcept { return 0; }

@@ -4,120 +4,96 @@
 
 #include "common/error.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/regression.hpp"
 
 namespace alba {
 
 namespace {
 using namespace alba::stats;
 
-// The 11 descriptive statistics whose first-half/second-half absolute
-// differences are also emitted.
-struct HalfStats {
-  double mean_, std_, var_, min_, max_, median_, q25_, q75_, skew_, kurt_, range_;
-};
+// |f(first half) - f(second half)|.
+template <typename F>
+FeatureDef half_diff(std::string name, F f) {
+  return {std::move(name), 0, [f](const SeriesView& s) {
+            const std::size_t half = s.x.size() / 2;
+            return std::abs(f(s.x.first(half)) - f(s.x.subspan(half)));
+          }};
+}
 
-HalfStats half_stats(std::span<const double> x) {
-  HalfStats h;
-  h.mean_ = mean(x);
-  h.std_ = stddev(x);
-  h.var_ = variance(x);
-  h.min_ = minimum(x);
-  h.max_ = maximum(x);
-  h.median_ = median(x);
-  h.q25_ = quantile(x, 0.25);
-  h.q75_ = quantile(x, 0.75);
-  h.skew_ = skewness(x);
-  h.kurt_ = kurtosis(x);
-  h.range_ = range(x);
-  return h;
+FeatureDef half_quantile_diff(std::string name, double q) {
+  return {std::move(name), kNeedSortedHalves, [q](const SeriesView& s) {
+            return std::abs(quantile_sorted(s.sorted_first, q) -
+                            quantile_sorted(s.sorted_second, q));
+          }};
+}
+
+FeatureTable mvts_table() {
+  FeatureTable t;
+  t.extractor = "mvts";
+  t.min_length = 4;
+  t.features = {
+      // 14 whole-series descriptive statistics
+      {"mean", kNeedMean, [](const SeriesView& s) { return s.mean; }},
+      on_series("std", stddev),
+      on_series("var", variance),
+      on_series("min", minimum),
+      on_series("max", maximum),
+      on_series("range", range),
+      quantile_feature("median", 0.5),
+      quantile_feature("q05", 0.05),
+      quantile_feature("q25", 0.25),
+      quantile_feature("q75", 0.75),
+      quantile_feature("q95", 0.95),
+      on_series("skewness", skewness),
+      on_series("kurtosis", kurtosis),
+      {"iqr", kNeedSorted,
+       [](const SeriesView& s) {
+         return quantile_sorted(s.sorted, 0.75) -
+                quantile_sorted(s.sorted, 0.25);
+       }},
+      // 11 first/second-half absolute differences
+      half_diff("d_mean", mean),
+      half_diff("d_std", stddev),
+      half_diff("d_var", variance),
+      half_diff("d_min", minimum),
+      half_diff("d_max", maximum),
+      half_quantile_diff("d_median", 0.5),
+      half_quantile_diff("d_q25", 0.25),
+      half_quantile_diff("d_q75", 0.75),
+      half_diff("d_skewness", skewness),
+      half_diff("d_kurtosis", kurtosis),
+      half_diff("d_range", range),
+      // 4 long-run trends
+      on_series("longest_inc_run", longest_strictly_increasing_run),
+      on_series("longest_dec_run", longest_strictly_decreasing_run),
+      on_series("longest_above_mean", longest_run_above_mean),
+      on_series("longest_below_mean", longest_run_below_mean),
+      // 19 change / location / trend statistics
+      on_series("mean_abs_change", mean_abs_change),
+      on_series("mean_change", mean_change),
+      on_series("abs_sum_changes", absolute_sum_of_changes),
+      on_series("mean_second_derivative", mean_second_derivative_central),
+      on_series("count_above_mean", count_above_mean),
+      on_series("count_below_mean", count_below_mean),
+      on_series("first_loc_max", first_location_of_maximum),
+      on_series("first_loc_min", first_location_of_minimum),
+      on_series("last_loc_max", last_location_of_maximum),
+      on_series("last_loc_min", last_location_of_minimum),
+      {"crossings_mean", kNeedMean,
+       [](const SeriesView& s) {
+         return static_cast<double>(number_of_crossings(s.x, s.mean));
+       }},
+      with_param("num_peaks3", number_of_peaks, std::size_t{3}),
+  };
+  for (FeatureDef& def : trend_features()) t.features.push_back(std::move(def));
+  t.features.push_back(with_param("cid_norm", cid_ce, /*normalize=*/true));
+  t.features.push_back(on_series("variation_coef", variation_coefficient));
+  t.features.push_back(on_series("rms", root_mean_square));
+  ALBA_CHECK(t.features.size() == 48)
+      << "MVTS must emit 48 features, has " << t.features.size();
+  return t;
 }
 }  // namespace
 
-MvtsExtractor::MvtsExtractor() {
-  names_ = {
-      // 14 whole-series descriptive statistics
-      "mean", "std", "var", "min", "max", "range", "median", "q05", "q25",
-      "q75", "q95", "skewness", "kurtosis", "iqr",
-      // 11 first/second-half absolute differences
-      "d_mean", "d_std", "d_var", "d_min", "d_max", "d_median", "d_q25",
-      "d_q75", "d_skewness", "d_kurtosis", "d_range",
-      // 4 long-run trends
-      "longest_inc_run", "longest_dec_run", "longest_above_mean",
-      "longest_below_mean",
-      // 19 change / location / trend statistics
-      "mean_abs_change", "mean_change", "abs_sum_changes",
-      "mean_second_derivative", "count_above_mean", "count_below_mean",
-      "first_loc_max", "first_loc_min", "last_loc_max", "last_loc_min",
-      "crossings_mean", "num_peaks3", "trend_slope", "trend_intercept",
-      "trend_rvalue", "trend_stderr", "cid_norm", "variation_coef", "rms"};
-  ALBA_CHECK(names_.size() == 48) << "MVTS must emit 48 features, has "
-                                  << names_.size();
-}
-
-void MvtsExtractor::extract(std::span<const double> x,
-                            std::span<double> out) const {
-  ALBA_CHECK(out.size() == names_.size());
-  ALBA_CHECK(x.size() >= 4) << "series too short for MVTS extraction";
-  std::size_t i = 0;
-
-  out[i++] = mean(x);
-  out[i++] = stddev(x);
-  out[i++] = variance(x);
-  out[i++] = minimum(x);
-  out[i++] = maximum(x);
-  out[i++] = range(x);
-  out[i++] = median(x);
-  out[i++] = quantile(x, 0.05);
-  out[i++] = quantile(x, 0.25);
-  out[i++] = quantile(x, 0.75);
-  out[i++] = quantile(x, 0.95);
-  out[i++] = skewness(x);
-  out[i++] = kurtosis(x);
-  out[i++] = quantile(x, 0.75) - quantile(x, 0.25);
-
-  const std::size_t half = x.size() / 2;
-  const HalfStats a = half_stats(x.subspan(0, half));
-  const HalfStats b = half_stats(x.subspan(half));
-  out[i++] = std::abs(a.mean_ - b.mean_);
-  out[i++] = std::abs(a.std_ - b.std_);
-  out[i++] = std::abs(a.var_ - b.var_);
-  out[i++] = std::abs(a.min_ - b.min_);
-  out[i++] = std::abs(a.max_ - b.max_);
-  out[i++] = std::abs(a.median_ - b.median_);
-  out[i++] = std::abs(a.q25_ - b.q25_);
-  out[i++] = std::abs(a.q75_ - b.q75_);
-  out[i++] = std::abs(a.skew_ - b.skew_);
-  out[i++] = std::abs(a.kurt_ - b.kurt_);
-  out[i++] = std::abs(a.range_ - b.range_);
-
-  out[i++] = static_cast<double>(longest_strictly_increasing_run(x));
-  out[i++] = static_cast<double>(longest_strictly_decreasing_run(x));
-  out[i++] = static_cast<double>(longest_run_above_mean(x));
-  out[i++] = static_cast<double>(longest_run_below_mean(x));
-
-  out[i++] = mean_abs_change(x);
-  out[i++] = mean_change(x);
-  out[i++] = absolute_sum_of_changes(x);
-  out[i++] = mean_second_derivative_central(x);
-  out[i++] = static_cast<double>(count_above_mean(x));
-  out[i++] = static_cast<double>(count_below_mean(x));
-  out[i++] = first_location_of_maximum(x);
-  out[i++] = first_location_of_minimum(x);
-  out[i++] = last_location_of_maximum(x);
-  out[i++] = last_location_of_minimum(x);
-  out[i++] = static_cast<double>(number_of_crossings(x, mean(x)));
-  out[i++] = static_cast<double>(number_of_peaks(x, 3));
-  const LinearTrend trend = linear_trend(x);
-  out[i++] = trend.slope;
-  out[i++] = trend.intercept;
-  out[i++] = trend.rvalue;
-  out[i++] = trend.stderr_;
-  out[i++] = cid_ce(x, /*normalize=*/true);
-  out[i++] = variation_coefficient(x);
-  out[i++] = root_mean_square(x);
-
-  ALBA_CHECK(i == names_.size());
-}
+MvtsExtractor::MvtsExtractor() : FeatureExtractor(mvts_table()) {}
 
 }  // namespace alba

@@ -5,44 +5,13 @@
 // features (longest monotonic runs etc.).
 #pragma once
 
-#include <span>
-#include <string>
-#include <vector>
+#include "features/feature_plan.hpp"
 
 namespace alba {
-
-/// Common interface of the per-metric feature extractors.
-class FeatureExtractor {
- public:
-  virtual ~FeatureExtractor() = default;
-
-  /// Extractor id ("mvts" / "tsfresh").
-  virtual std::string name() const = 0;
-
-  /// Names of the features produced for a single metric, in output order.
-  virtual const std::vector<std::string>& feature_names() const = 0;
-
-  std::size_t num_features() const { return feature_names().size(); }
-
-  /// Computes all features of one metric's (preprocessed) series into `out`,
-  /// which must have exactly num_features() slots.
-  virtual void extract(std::span<const double> series,
-                       std::span<double> out) const = 0;
-};
 
 class MvtsExtractor final : public FeatureExtractor {
  public:
   MvtsExtractor();
-
-  std::string name() const override { return "mvts"; }
-  const std::vector<std::string>& feature_names() const override {
-    return names_;
-  }
-  void extract(std::span<const double> series,
-               std::span<double> out) const override;
-
- private:
-  std::vector<std::string> names_;
 };
 
 }  // namespace alba

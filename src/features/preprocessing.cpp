@@ -42,13 +42,24 @@ void interpolate_nans(std::span<double> x) noexcept {
   }
 }
 
-std::vector<double> difference_counter(std::span<const double> x) {
-  ALBA_CHECK(x.size() >= 2) << "cannot difference a series of length " << x.size();
-  std::vector<double> out(x.size() - 1);
+namespace {
+
+// difference_counter in place: x[i] = max(x[i+1] - x[i], 0) for i < n-1;
+// the last slot is left for the caller to drop.
+void difference_in_place(std::span<double> x) noexcept {
   for (std::size_t i = 0; i + 1 < x.size(); ++i) {
     const double d = x[i + 1] - x[i];
-    out[i] = d < 0.0 ? 0.0 : d;  // counter reset/wrap
+    x[i] = d < 0.0 ? 0.0 : d;  // counter reset/wrap
   }
+}
+
+}  // namespace
+
+std::vector<double> difference_counter(std::span<const double> x) {
+  ALBA_CHECK(x.size() >= 2) << "cannot difference a series of length " << x.size();
+  std::vector<double> out(x.begin(), x.end());
+  difference_in_place(out);
+  out.pop_back();
   return out;
 }
 
@@ -72,23 +83,24 @@ std::size_t check_trim(const Matrix& raw, const MetricRegistry& registry,
 
 }  // namespace
 
-std::vector<double> preprocess_metric_column(const Matrix& raw,
-                                             std::size_t metric,
-                                             const MetricRegistry& registry,
-                                             const PreprocessConfig& config) {
+void preprocess_metric_column(const Matrix& raw, std::size_t metric,
+                              const MetricRegistry& registry,
+                              const PreprocessConfig& config,
+                              std::vector<double>& out) {
   const std::size_t t_kept = check_trim(raw, registry, config);
   ALBA_CHECK(metric < raw.cols());
   const auto head = static_cast<std::size_t>(config.trim_head);
 
-  std::vector<double> col(t_kept);
-  for (std::size_t t = 0; t < t_kept; ++t) col[t] = raw(head + t, metric);
-  interpolate_nans(col);
+  out.resize(t_kept);
+  for (std::size_t t = 0; t < t_kept; ++t) out[t] = raw(head + t, metric);
+  interpolate_nans(out);
   if (registry.metric(metric).kind == MetricKind::Counter) {
-    return difference_counter(col);
+    difference_in_place(out);
+    out.pop_back();
+  } else {
+    // Drop the first kept sample so gauge rows align with counter rates.
+    out.erase(out.begin());
   }
-  // Drop the first kept sample so gauge rows align with counter rates.
-  col.erase(col.begin());
-  return col;
 }
 
 Matrix preprocess_series(const Matrix& raw, const MetricRegistry& registry,
@@ -98,9 +110,9 @@ Matrix preprocess_series(const Matrix& raw, const MetricRegistry& registry,
   const std::size_t m = raw.cols();
 
   Matrix out(t_out, m);
+  std::vector<double> col;
   for (std::size_t j = 0; j < m; ++j) {
-    const std::vector<double> col =
-        preprocess_metric_column(raw, j, registry, config);
+    preprocess_metric_column(raw, j, registry, config, col);
     for (std::size_t t = 0; t < t_out; ++t) out(t, j) = col[t];
   }
   return out;
@@ -153,8 +165,8 @@ Matrix preprocess_series_robust(const Matrix& raw,
     quality.cells_interpolated += t_kept - finite;
     interpolate_nans(col);
     if (registry.metric(j).kind == MetricKind::Counter) {
-      const auto rates = difference_counter(col);
-      for (std::size_t t = 0; t < t_out; ++t) out(t, j) = rates[t];
+      difference_in_place(col);
+      for (std::size_t t = 0; t < t_out; ++t) out(t, j) = col[t];
     } else {
       for (std::size_t t = 0; t < t_out; ++t) out(t, j) = col[t + 1];
     }

@@ -41,14 +41,15 @@ std::vector<double> difference_counter(std::span<const double> x);
 Matrix preprocess_series(const Matrix& raw, const MetricRegistry& registry,
                          const PreprocessConfig& config);
 
-/// Preprocesses a single metric column of a raw series — bit-identical to
-/// column `metric` of preprocess_series(raw, ...). The serving path uses
-/// this to process only the metrics that feed selected features instead of
-/// the whole registry.
-std::vector<double> preprocess_metric_column(const Matrix& raw,
-                                             std::size_t metric,
-                                             const MetricRegistry& registry,
-                                             const PreprocessConfig& config);
+/// Preprocesses a single metric column of a raw series into `out` —
+/// bit-identical to column `metric` of preprocess_series(raw, ...). The
+/// serving path uses this to process only the metrics that feed selected
+/// features instead of the whole registry, into a per-thread buffer that
+/// keeps its capacity across windows.
+void preprocess_metric_column(const Matrix& raw, std::size_t metric,
+                              const MetricRegistry& registry,
+                              const PreprocessConfig& config,
+                              std::vector<double>& out);
 
 /// A metric needs at least this many finite samples in the kept window to
 /// be repairable by interpolation; below it the column is quarantined.

@@ -8,27 +8,12 @@
 #include "stats/autocorr.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/entropy.hpp"
-#include "stats/fft.hpp"
-#include "stats/regression.hpp"
 #include "stats/welch.hpp"
 
 namespace alba {
 
 namespace {
 using namespace alba::stats;
-
-// Stride-decimates x to at most `cap` points (for the O(n²) entropies).
-std::vector<double> decimate(std::span<const double> x, std::size_t cap) {
-  if (x.size() <= cap) return {x.begin(), x.end()};
-  std::vector<double> out;
-  out.reserve(cap);
-  const double stride =
-      static_cast<double>(x.size()) / static_cast<double>(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    out.push_back(x[static_cast<std::size_t>(static_cast<double>(i) * stride)]);
-  }
-  return out;
-}
 
 // Energy of chunk k out of `chunks` equal slices, as a fraction of total.
 double energy_ratio_by_chunk(std::span<const double> x, std::size_t chunks,
@@ -56,193 +41,161 @@ double index_mass_quantile(std::span<const double> x, double q) {
   }
   return 1.0;
 }
-}  // namespace
-
-TsfreshExtractor::TsfreshExtractor(TsfreshConfig config) : config_(config) {
-  ALBA_CHECK(config_.acf_lags >= 1 && config_.pacf_lags >= 1);
-  ALBA_CHECK(config_.fft_coeffs >= 1 && config_.psd_bins >= 1);
-  ALBA_CHECK(config_.entropy_cap >= 8);
+FeatureTable tsfresh_table(const TsfreshConfig& config) {
+  ALBA_CHECK(config.acf_lags >= 1 && config.pacf_lags >= 1);
+  ALBA_CHECK(config.fft_coeffs >= 1 && config.psd_bins >= 1);
+  ALBA_CHECK(config.entropy_cap >= 8);
+  FeatureTable t;
+  t.extractor = "tsfresh";
+  t.min_length = 8;
+  t.entropy_cap = config.entropy_cap;
+  auto& f = t.features;
 
   // --- distribution / descriptive ---
-  names_ = {"sum",      "mean",     "std",      "var",       "min",
-            "max",      "median",   "skewness", "kurtosis",  "rms",
-            "abs_energy", "variation_coef", "iqr"};
-  for (int q = 1; q <= 9; ++q) names_.push_back(strformat("quantile_q%d0", q));
-
-  // --- change statistics ---
-  for (const char* n :
-       {"mean_abs_change", "mean_change", "mean_second_derivative",
-        "abs_sum_changes", "cid_norm", "cid_raw"}) {
-    names_.emplace_back(n);
+  f = {on_series("sum", sum),
+       {"mean", kNeedMean, [](const SeriesView& s) { return s.mean; }},
+       on_series("std", stddev),
+       on_series("var", variance),
+       on_series("min", minimum),
+       on_series("max", maximum),
+       quantile_feature("median", 0.5),
+       on_series("skewness", skewness),
+       on_series("kurtosis", kurtosis),
+       on_series("rms", root_mean_square),
+       on_series("abs_energy", abs_energy),
+       on_series("variation_coef", variation_coefficient),
+       {"iqr", kNeedSorted, [](const SeriesView& s) {
+          return quantile_sorted(s.sorted, 0.75) -
+                 quantile_sorted(s.sorted, 0.25);
+        }}};
+  for (int q = 1; q <= 9; ++q) {
+    f.push_back(quantile_feature(strformat("quantile_q%d0", q), 0.1 * q));
   }
 
+  // --- change statistics ---
+  f.push_back(on_series("mean_abs_change", mean_abs_change));
+  f.push_back(on_series("mean_change", mean_change));
+  f.push_back(
+      on_series("mean_second_derivative", mean_second_derivative_central));
+  f.push_back(on_series("abs_sum_changes", absolute_sum_of_changes));
+  f.push_back(with_param("cid_norm", cid_ce, true));
+  f.push_back(with_param("cid_raw", cid_ce, false));
+
   // --- counts / locations / runs ---
-  for (const char* n :
-       {"count_above_mean", "count_below_mean", "crossings_mean",
-        "num_peaks1", "num_peaks3", "num_peaks5", "longest_above_mean",
-        "longest_below_mean", "longest_inc_run", "longest_dec_run",
-        "first_loc_max", "first_loc_min", "last_loc_max", "last_loc_min",
-        "ratio_beyond_1sigma", "ratio_beyond_2sigma", "ratio_beyond_3sigma"}) {
-    names_.emplace_back(n);
+  f.push_back(on_series("count_above_mean", count_above_mean));
+  f.push_back(on_series("count_below_mean", count_below_mean));
+  f.push_back({"crossings_mean", kNeedMean, [](const SeriesView& s) {
+                 return static_cast<double>(number_of_crossings(s.x, s.mean));
+               }});
+  for (const std::size_t support : {1, 3, 5}) {
+    f.push_back(with_param(strformat("num_peaks%zu", support),
+                           number_of_peaks, support));
+  }
+  f.push_back(on_series("longest_above_mean", longest_run_above_mean));
+  f.push_back(on_series("longest_below_mean", longest_run_below_mean));
+  f.push_back(on_series("longest_inc_run", longest_strictly_increasing_run));
+  f.push_back(on_series("longest_dec_run", longest_strictly_decreasing_run));
+  f.push_back(on_series("first_loc_max", first_location_of_maximum));
+  f.push_back(on_series("first_loc_min", first_location_of_minimum));
+  f.push_back(on_series("last_loc_max", last_location_of_maximum));
+  f.push_back(on_series("last_loc_min", last_location_of_minimum));
+  for (const double r : {1.0, 2.0, 3.0}) {
+    f.push_back(with_param(strformat("ratio_beyond_%.0fsigma", r),
+                           ratio_beyond_r_sigma, r));
   }
 
   // --- recurrence / duplicates / symmetry ---
-  for (const char* n :
-       {"has_duplicate", "has_duplicate_max", "has_duplicate_min",
-        "sum_reoccurring", "perc_reoccurring", "large_std_r025",
-        "symmetry_r005", "symmetry_r025"}) {
-    names_.emplace_back(n);
-  }
+  f.push_back(on_series("has_duplicate", has_duplicate));
+  f.push_back(on_series("has_duplicate_max", has_duplicate_max));
+  f.push_back(on_series("has_duplicate_min", has_duplicate_min));
+  f.push_back(on_series("sum_reoccurring", sum_of_reoccurring_values));
+  f.push_back(
+      on_series("perc_reoccurring", percentage_of_reoccurring_datapoints));
+  f.push_back(with_param("large_std_r025", large_standard_deviation, 0.25));
+  f.push_back(with_param("symmetry_r005", symmetry_looking, 0.05));
+  f.push_back(with_param("symmetry_r025", symmetry_looking, 0.25));
 
   // --- autocorrelation family ---
-  for (std::size_t lag = 1; lag <= config_.acf_lags; ++lag) {
-    names_.push_back(strformat("acf_lag%zu", lag));
+  for (std::size_t lag = 1; lag <= config.acf_lags; ++lag) {
+    f.push_back(
+        with_param(strformat("acf_lag%zu", lag), autocorrelation, lag));
   }
-  names_.emplace_back("agg_acf_mean_abs");
-  for (std::size_t lag = 1; lag <= config_.pacf_lags; ++lag) {
-    names_.push_back(strformat("pacf_lag%zu", lag));
+  f.push_back(with_param("agg_acf_mean_abs", agg_autocorrelation_mean_abs,
+                         config.acf_lags));
+  for (std::size_t lag = 1; lag <= config.pacf_lags; ++lag) {
+    f.push_back(with_param(strformat("pacf_lag%zu", lag),
+                           partial_autocorrelation, lag));
   }
 
-  // --- entropies ---
-  for (const char* n : {"binned_entropy10", "approx_entropy", "sample_entropy"}) {
-    names_.emplace_back(n);
-  }
+  // --- entropies (ApEn/SampEn on the decimated series: they are O(n²)) ---
+  f.push_back(with_param("binned_entropy10", binned_entropy, std::size_t{10}));
+  f.push_back({"approx_entropy", kNeedDecimated, [](const SeriesView& s) {
+                 return approximate_entropy(s.decimated, 2, 0.2);
+               }});
+  f.push_back({"sample_entropy", kNeedDecimated, [](const SeriesView& s) {
+                 return sample_entropy(s.decimated, 2, 0.2);
+               }});
 
   // --- nonlinearity ---
   for (std::size_t lag = 1; lag <= 3; ++lag) {
-    names_.push_back(strformat("c3_lag%zu", lag));
+    f.push_back(with_param(strformat("c3_lag%zu", lag), c3, lag));
   }
   for (std::size_t lag = 1; lag <= 3; ++lag) {
-    names_.push_back(strformat("time_rev_asym_lag%zu", lag));
+    f.push_back(with_param(strformat("time_rev_asym_lag%zu", lag),
+                           time_reversal_asymmetry, lag));
   }
 
   // --- spectral: FFT coefficients + Welch PSD ---
-  for (std::size_t k = 1; k <= config_.fft_coeffs; ++k) {
-    names_.push_back(strformat("fft_abs_k%zu", k));
-    names_.push_back(strformat("fft_real_k%zu", k));
-    names_.push_back(strformat("fft_imag_k%zu", k));
+  for (std::size_t k = 1; k <= config.fft_coeffs; ++k) {
+    const auto coeff = [k](const SeriesView& s) {
+      return k < s.spectrum.size() ? s.spectrum[k]
+                                   : std::complex<double>(0.0, 0.0);
+    };
+    f.push_back({strformat("fft_abs_k%zu", k), kNeedSpectrum,
+                 [coeff](const SeriesView& s) { return std::abs(coeff(s)); }});
+    f.push_back({strformat("fft_real_k%zu", k), kNeedSpectrum,
+                 [coeff](const SeriesView& s) { return coeff(s).real(); }});
+    f.push_back({strformat("fft_imag_k%zu", k), kNeedSpectrum,
+                 [coeff](const SeriesView& s) { return coeff(s).imag(); }});
   }
-  for (std::size_t b = 0; b < config_.psd_bins; ++b) {
-    names_.push_back(strformat("welch_band%zu", b));
+  // Band powers: psd_bins equal frequency bands.
+  for (std::size_t b = 0; b < config.psd_bins; ++b) {
+    f.push_back({strformat("welch_band%zu", b), kNeedPsd,
+                 [b, bins = config.psd_bins](const SeriesView& s) {
+                   const std::vector<double>& power = s.psd->power;
+                   const std::size_t nb = power.size();
+                   const std::size_t begin = b * nb / bins;
+                   const std::size_t end = (b + 1) * nb / bins;
+                   double acc = 0.0;
+                   for (std::size_t k = begin; k < end && k < nb; ++k) {
+                     acc += power[k];
+                   }
+                   return acc;
+                 }});
   }
-  names_.emplace_back("spectral_centroid");
-  names_.emplace_back("dominant_freq");
+  f.push_back({"spectral_centroid", kNeedPsd, [](const SeriesView& s) {
+                 return spectral_centroid(*s.psd);
+               }});
+  f.push_back({"dominant_freq", kNeedPsd, [](const SeriesView& s) {
+                 return dominant_frequency(*s.psd);
+               }});
 
   // --- trend / mass distribution ---
-  for (const char* n : {"trend_slope", "trend_intercept", "trend_rvalue",
-                        "trend_stderr", "energy_chunk0", "energy_chunk1",
-                        "energy_chunk2", "energy_chunk3", "index_mass_q25",
-                        "index_mass_q50", "index_mass_q75"}) {
-    names_.emplace_back(n);
+  for (FeatureDef& def : trend_features()) f.push_back(std::move(def));
+  for (std::size_t k = 0; k < 4; ++k) {
+    f.push_back({strformat("energy_chunk%zu", k), 0, [k](const SeriesView& s) {
+                   return energy_ratio_by_chunk(s.x, 4, k);
+                 }});
   }
+  for (const double q : {0.25, 0.50, 0.75}) {
+    f.push_back(with_param(strformat("index_mass_q%02.0f", q * 100),
+                           index_mass_quantile, q));
+  }
+  return t;
 }
+}  // namespace
 
-void TsfreshExtractor::extract(std::span<const double> x,
-                               std::span<double> out) const {
-  ALBA_CHECK(out.size() == names_.size());
-  ALBA_CHECK(x.size() >= 8) << "series too short for TSFRESH extraction";
-  std::size_t i = 0;
-
-  out[i++] = sum(x);
-  out[i++] = mean(x);
-  out[i++] = stddev(x);
-  out[i++] = variance(x);
-  out[i++] = minimum(x);
-  out[i++] = maximum(x);
-  out[i++] = median(x);
-  out[i++] = skewness(x);
-  out[i++] = kurtosis(x);
-  out[i++] = root_mean_square(x);
-  out[i++] = abs_energy(x);
-  out[i++] = variation_coefficient(x);
-  out[i++] = quantile(x, 0.75) - quantile(x, 0.25);
-  for (int q = 1; q <= 9; ++q) out[i++] = quantile(x, 0.1 * q);
-
-  out[i++] = mean_abs_change(x);
-  out[i++] = mean_change(x);
-  out[i++] = mean_second_derivative_central(x);
-  out[i++] = absolute_sum_of_changes(x);
-  out[i++] = cid_ce(x, true);
-  out[i++] = cid_ce(x, false);
-
-  out[i++] = static_cast<double>(count_above_mean(x));
-  out[i++] = static_cast<double>(count_below_mean(x));
-  out[i++] = static_cast<double>(number_of_crossings(x, mean(x)));
-  out[i++] = static_cast<double>(number_of_peaks(x, 1));
-  out[i++] = static_cast<double>(number_of_peaks(x, 3));
-  out[i++] = static_cast<double>(number_of_peaks(x, 5));
-  out[i++] = static_cast<double>(longest_run_above_mean(x));
-  out[i++] = static_cast<double>(longest_run_below_mean(x));
-  out[i++] = static_cast<double>(longest_strictly_increasing_run(x));
-  out[i++] = static_cast<double>(longest_strictly_decreasing_run(x));
-  out[i++] = first_location_of_maximum(x);
-  out[i++] = first_location_of_minimum(x);
-  out[i++] = last_location_of_maximum(x);
-  out[i++] = last_location_of_minimum(x);
-  out[i++] = ratio_beyond_r_sigma(x, 1.0);
-  out[i++] = ratio_beyond_r_sigma(x, 2.0);
-  out[i++] = ratio_beyond_r_sigma(x, 3.0);
-
-  out[i++] = has_duplicate(x) ? 1.0 : 0.0;
-  out[i++] = has_duplicate_max(x) ? 1.0 : 0.0;
-  out[i++] = has_duplicate_min(x) ? 1.0 : 0.0;
-  out[i++] = sum_of_reoccurring_values(x);
-  out[i++] = percentage_of_reoccurring_datapoints(x);
-  out[i++] = large_standard_deviation(x, 0.25) ? 1.0 : 0.0;
-  out[i++] = symmetry_looking(x, 0.05) ? 1.0 : 0.0;
-  out[i++] = symmetry_looking(x, 0.25) ? 1.0 : 0.0;
-
-  for (std::size_t lag = 1; lag <= config_.acf_lags; ++lag) {
-    out[i++] = autocorrelation(x, lag);
-  }
-  out[i++] = agg_autocorrelation_mean_abs(x, config_.acf_lags);
-  for (std::size_t lag = 1; lag <= config_.pacf_lags; ++lag) {
-    out[i++] = partial_autocorrelation(x, lag);
-  }
-
-  const std::vector<double> xd = decimate(x, config_.entropy_cap);
-  out[i++] = binned_entropy(x, 10);
-  out[i++] = approximate_entropy(xd, 2, 0.2);
-  out[i++] = sample_entropy(xd, 2, 0.2);
-
-  for (std::size_t lag = 1; lag <= 3; ++lag) out[i++] = c3(x, lag);
-  for (std::size_t lag = 1; lag <= 3; ++lag) {
-    out[i++] = time_reversal_asymmetry(x, lag);
-  }
-
-  const auto spectrum = fft_real(x);
-  for (std::size_t k = 1; k <= config_.fft_coeffs; ++k) {
-    const std::complex<double> c =
-        k < spectrum.size() ? spectrum[k] : std::complex<double>(0.0, 0.0);
-    out[i++] = std::abs(c);
-    out[i++] = c.real();
-    out[i++] = c.imag();
-  }
-
-  const WelchResult psd = welch_psd(x, 64);
-  // Band powers: psd_bins equal frequency bands.
-  for (std::size_t b = 0; b < config_.psd_bins; ++b) {
-    const std::size_t nb = psd.power.size();
-    const std::size_t begin = b * nb / config_.psd_bins;
-    const std::size_t end = (b + 1) * nb / config_.psd_bins;
-    double acc = 0.0;
-    for (std::size_t k = begin; k < end && k < nb; ++k) acc += psd.power[k];
-    out[i++] = acc;
-  }
-  out[i++] = spectral_centroid(psd);
-  out[i++] = dominant_frequency(psd);
-
-  const LinearTrend trend = linear_trend(x);
-  out[i++] = trend.slope;
-  out[i++] = trend.intercept;
-  out[i++] = trend.rvalue;
-  out[i++] = trend.stderr_;
-  for (std::size_t k = 0; k < 4; ++k) out[i++] = energy_ratio_by_chunk(x, 4, k);
-  out[i++] = index_mass_quantile(x, 0.25);
-  out[i++] = index_mass_quantile(x, 0.50);
-  out[i++] = index_mass_quantile(x, 0.75);
-
-  ALBA_CHECK(i == names_.size());
-}
+TsfreshExtractor::TsfreshExtractor(TsfreshConfig config)
+    : FeatureExtractor(tsfresh_table(config)) {}
 
 }  // namespace alba

@@ -6,17 +6,18 @@
 // reversal asymmetry, CID), distribution shape, and recurrence features.
 //
 // tsfresh's canonical set reaches 794 features per metric by sweeping large
-// parameter grids per method; we emit ~100 features from the same ~40
-// method families with compact grids, which preserves the extractor's role
-// in the pipeline (a wider, more redundant feature space than MVTS that
-// chi-square selection then prunes).
+// parameter grids per method; we emit 111 features (with the default
+// TsfreshConfig) from the same ~40 method families with compact grids,
+// which preserves the extractor's role in the pipeline (a wider, more
+// redundant feature space than MVTS that chi-square selection then prunes).
 //
-// Cost note: approximate/sample entropy are O(n²); series longer than
-// `entropy_cap` are decimated (stride subsampling) before those two
-// features only.
+// Cost note: approximate/sample entropy are O(n²) — about half the cost of
+// extracting every feature — so series longer than `entropy_cap` are
+// decimated (stride subsampling) before those two features only, and a
+// FeaturePlan that selects neither skips them entirely.
 #pragma once
 
-#include "features/mvts.hpp"
+#include "features/feature_plan.hpp"
 
 namespace alba {
 
@@ -31,17 +32,6 @@ struct TsfreshConfig {
 class TsfreshExtractor final : public FeatureExtractor {
  public:
   explicit TsfreshExtractor(TsfreshConfig config = {});
-
-  std::string name() const override { return "tsfresh"; }
-  const std::vector<std::string>& feature_names() const override {
-    return names_;
-  }
-  void extract(std::span<const double> series,
-               std::span<double> out) const override;
-
- private:
-  TsfreshConfig config_;
-  std::vector<std::string> names_;
 };
 
 }  // namespace alba

@@ -1,35 +1,18 @@
 #include "serving/diagnosis_service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "features/preprocessing.hpp"
 
 namespace alba {
-
-std::uint64_t hash_window(const Matrix& window) noexcept {
-  // FNV-1a over the shape and the raw bit pattern of every cell (NaNs hash
-  // by payload, which is what content-identity wants).
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](const void* p, std::size_t n) noexcept {
-    const auto* bytes = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ULL;
-    }
-  };
-  const std::uint64_t rows = window.rows();
-  const std::uint64_t cols = window.cols();
-  mix(&rows, sizeof(rows));
-  mix(&cols, sizeof(cols));
-  mix(window.data(), window.size() * sizeof(double));
-  return h;
-}
 
 namespace {
 
@@ -39,7 +22,38 @@ std::uint64_t cell_bits(const double* p) noexcept {
   return bits;
 }
 
+// xxHash64's accumulate round: multiply-rotate-multiply, so every bit of
+// `word` reaches the high and (via the rotation) the low half of `acc`.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+
+std::uint64_t hash_round(std::uint64_t acc, std::uint64_t word) noexcept {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
+}
+
 }  // namespace
+
+std::uint64_t hash_window(const Matrix& window) noexcept {
+  // Word-wise over the raw bit pattern of every cell (NaNs hash by payload,
+  // which is what content-identity wants), in four independent lanes so
+  // the multiplies overlap; the lanes, the shape and the tail cells are
+  // then folded in order and the result is avalanched.
+  const double* cells = window.data();
+  const std::size_t n = window.size();
+  std::uint64_t lane[4] = {kPrime1 + kPrime2, kPrime2, 0, 0 - kPrime1};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      lane[l] = hash_round(lane[l], cell_bits(cells + i + l));
+    }
+  }
+  std::uint64_t h = 0;
+  for (const std::uint64_t l : lane) h = hash_round(h, l);
+  h = hash_round(h, window.rows());
+  h = hash_round(h, window.cols());
+  for (; i < n; ++i) h = hash_round(h, cell_bits(cells + i));
+  return splitmix_finalize(h);
+}
 
 WindowKey window_key(const Matrix& window) noexcept {
   WindowKey key;
@@ -105,7 +119,6 @@ DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
     : bundle_(std::move(bundle)),
       config_(config),
       registry_(bundle_.features.system, bundle_.features.registry),
-      extractor_(make_extractor(bundle_.features.extractor)),
       cache_(config.cache_capacity) {
   ALBA_CHECK(bundle_.model && bundle_.model->fitted())
       << "DiagnosisService needs a fitted model";
@@ -114,8 +127,9 @@ DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
   // registry/extractor pair produces (column j*F+f is feature f of metric
   // j, as in extract_features), composing projection + scaling into a
   // per-input-column plan grouped by metric.
-  const std::size_t f = extractor_->num_features();
-  const auto& extractor_features = extractor_->feature_names();
+  const auto extractor = make_extractor(bundle_.features.extractor);
+  const std::size_t f = extractor->num_features();
+  const auto& extractor_features = extractor->feature_names();
   std::unordered_map<std::string, std::size_t> raw_index;
   raw_index.reserve(registry_.size() * f);
   for (std::size_t j = 0; j < registry_.size(); ++j) {
@@ -128,6 +142,13 @@ DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
   const std::size_t inputs = bundle_.selected.size();
   col_min_.resize(inputs);
   col_max_.resize(inputs);
+  // Per needed metric, in order of first use: (metric, features, columns).
+  struct Selection {
+    std::size_t metric;
+    std::vector<std::size_t> features;
+    std::vector<std::size_t> cols;
+  };
+  std::vector<Selection> selections;
   std::unordered_map<std::size_t, std::size_t> metric_slot;
   for (std::size_t c = 0; c < inputs; ++c) {
     const auto sel = static_cast<std::size_t>(bundle_.selected[c]);
@@ -137,14 +158,19 @@ DiagnosisService::DiagnosisService(ModelBundle bundle, ServingConfig config)
         << "bundle feature '" << name
         << "' is not produced by its own registry/extractor config";
     const std::size_t metric = it->second / f;
-    const std::size_t feature = it->second % f;
     col_min_[c] = bundle_.scaler_mins[sel];
     col_max_[c] = bundle_.scaler_maxs[sel];
 
     const auto [slot_it, inserted] =
-        metric_slot.emplace(metric, plan_.size());
-    if (inserted) plan_.push_back(MetricPlan{metric, {}});
-    plan_[slot_it->second].outputs.emplace_back(feature, c);
+        metric_slot.emplace(metric, selections.size());
+    if (inserted) selections.push_back(Selection{metric, {}, {}});
+    selections[slot_it->second].features.push_back(it->second % f);
+    selections[slot_it->second].cols.push_back(c);
+  }
+  plan_.reserve(selections.size());
+  for (Selection& s : selections) {
+    plan_.push_back(MetricPlan{s.metric, extractor->plan(std::move(s.features)),
+                               std::move(s.cols)});
   }
 }
 
@@ -152,16 +178,23 @@ void DiagnosisService::extract_row(const Matrix& window,
                                    std::span<double> out) const {
   ALBA_DCHECK(out.size() == bundle_.selected.size());
   if (config_.extraction_hook) config_.extraction_hook(window);
-  std::vector<double> features(extractor_->num_features());
+  struct Scratch {
+    std::vector<double> clean;   // one preprocessed metric column
+    std::vector<double> values;  // one metric's planned features
+    FeatureScratch features;
+  };
+  thread_local Scratch scratch;
   for (const MetricPlan& mp : plan_) {
-    const std::vector<double> clean = preprocess_metric_column(
-        window, mp.metric, registry_, bundle_.features.preprocess);
-    extractor_->extract(clean, features);
-    for (const auto& [feature, col] : mp.outputs) {
+    preprocess_metric_column(window, mp.metric, registry_,
+                             bundle_.features.preprocess, scratch.clean);
+    scratch.values.resize(mp.features.size());
+    mp.features.run(scratch.clean, scratch.values, scratch.features);
+    for (std::size_t k = 0; k < mp.cols.size(); ++k) {
       // Same composition as the offline path: non-finite extraction output
       // becomes 0 (select_features_by_name), then the training-time
       // Min-Max map with clipping (MinMaxScaler::transform).
-      double v = features[feature];
+      const std::size_t col = mp.cols[k];
+      double v = scratch.values[k];
       if (!std::isfinite(v)) v = 0.0;
       const double span = col_max_[col] - col_min_[col];
       v = span > 0.0 ? (v - col_min_[col]) / span : 0.0;

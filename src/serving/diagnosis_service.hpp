@@ -5,14 +5,18 @@
 // training columns, Min-Max scale, predict — with two serving-only
 // optimizations that keep results bit-identical to the offline path:
 //
-//  * only metrics that feed at least one selected feature are preprocessed
-//    and extracted (preprocessing and extraction are per-metric, so the
-//    skipped work cannot change the kept columns);
-//  * scaling and column selection are composed per selected column, so the
-//    full feature_names-wide row is never materialized.
+//  * only metrics that feed at least one selected feature are preprocessed,
+//    and each is extracted through a FeaturePlan compiled at load time
+//    that computes only that metric's selected features (preprocessing and
+//    extraction are per-metric and a plan runs the same table entries as
+//    training, so the skipped work cannot change the kept columns);
+//  * scaling and column selection are composed per selected column: each
+//    planned feature is Min-Max scaled and clamped straight into its model
+//    input column, so no feature_names-wide row is ever materialized.
 //
-// Each call serves one window: the feature row and probability matrices
-// are per-thread scratch that keep their capacity across requests, and the
+// Each call serves one window: the preprocessed column, the plan outputs,
+// the plan intermediates, the feature row and the probability matrix are
+// per-thread scratch that keep their capacity across requests, and the
 // classifier sees a batch of one. An LRU cache keyed on the window's content
 // hash answers repeated windows (a stalled collector re-delivering the same
 // scan, a dashboard re-asking about the same incident) without touching
@@ -55,7 +59,7 @@ struct ServingConfig {
   std::function<void(const Matrix&)> extraction_hook;
 };
 
-/// Full cache identity of a raw window: the 64-bit FNV-1a content hash
+/// Full cache identity of a raw window: the 64-bit content hash
 /// plus a cheap verifier (shape and the bit patterns of the first and last
 /// cells). The cache indexes by `hash` but only answers when the verifier
 /// matches too — a 64-bit hash collision between distinct windows must not
@@ -78,7 +82,7 @@ WindowKey window_key(const Matrix& window) noexcept;
 
 /// Thread-safe LRU keyed on WindowKey — the DiagnosisService's window
 /// cache, factored out so hash-collision handling is testable with
-/// synthetic keys (crafting real 64-bit FNV collisions is infeasible).
+/// synthetic keys (crafting real 64-bit hash collisions is infeasible).
 /// A lookup whose hash matches but whose verifier does not is a miss; an
 /// insert over such an entry evicts it and counts a collision eviction.
 class WindowCache {
@@ -140,12 +144,12 @@ class DiagnosisService : public Diagnoser {
   void reset_stats();
 
  private:
-  // Extraction plan for one needed metric: which extractor outputs feed
-  // which model-input columns.
+  // Extraction plan for one needed metric: the compiled plan of its
+  // selected features and, per plan output, its model-input column.
   struct MetricPlan {
     std::size_t metric = 0;  // registry column
-    // (extractor feature index, model input column) pairs.
-    std::vector<std::pair<std::size_t, std::size_t>> outputs;
+    FeaturePlan features;
+    std::vector<std::size_t> cols;
   };
 
   // The pipeline body behind diagnose; throws alba::Error on a malformed
@@ -159,10 +163,9 @@ class DiagnosisService : public Diagnoser {
   ModelBundle bundle_;
   ServingConfig config_;
   MetricRegistry registry_;
-  std::unique_ptr<FeatureExtractor> extractor_;
 
-  // Precomputed plan: per-needed-metric extraction targets and, per model
-  // input column, the Min-Max parameters of its source feature column.
+  // Precomputed plan: per-needed-metric compiled feature plans and, per
+  // model input column, the Min-Max parameters of its source feature column.
   std::vector<MetricPlan> plan_;
   std::vector<double> col_min_;
   std::vector<double> col_max_;
@@ -183,7 +186,8 @@ class DiagnosisService : public Diagnoser {
   std::uint64_t collisions_at_reset_ = 0;
 };
 
-/// Content hash of a raw window (shape + bit pattern of every cell) — the
+/// Content hash of a raw window (shape + bit pattern of every cell, NaNs by
+/// payload), mixed a 64-bit word at a time and avalanched — the
 /// cache key. Exposed for tests.
 std::uint64_t hash_window(const Matrix& window) noexcept;
 

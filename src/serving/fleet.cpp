@@ -108,9 +108,12 @@ void ServingFleet::rebuild_ring_locked() {
   for (std::size_t id = 0; id < replicas_.size(); ++id) {
     if (!replicas_[id].in_ring) continue;
     // One deterministic point stream per replica: the ring depends only on
-    // (seed, replica id, vnode index), never on join order or traffic.
-    SplitMix64 sm(config_.seed ^ (static_cast<std::uint64_t>(id) + 1) *
-                                     kGolden);
+    // (seed, replica id, vnode index), never on join order or traffic. The
+    // start state is finalized first: SplitMix64 steps its state by kGolden,
+    // so raw starts (id+1)·kGolden would give replica id+1 replica id's
+    // stream shifted by one point, and the lowest id would own the ring.
+    SplitMix64 sm(splitmix_finalize(
+        config_.seed ^ (static_cast<std::uint64_t>(id) + 1) * kGolden));
     for (std::size_t v = 0; v < config_.vnodes; ++v) {
       ring_.emplace_back(sm.next(), id);
     }

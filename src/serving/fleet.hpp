@@ -6,7 +6,7 @@
 // production deployment needs:
 //
 //  * routing — requests are consistent-hashed on the window's content
-//    hash (the same FNV-1a key the LRU window cache uses), so repeated
+//    hash (the same key the LRU window cache uses), so repeated
 //    windows land on the same replica and its cache stays hot. The ring
 //    is derived deterministically from (seed, replica id, vnode index):
 //    a fixed seed and replica set always routes identically, and adding

@@ -64,11 +64,16 @@ double quantile(std::span<const double> x, double q) {
   if (x.empty()) return kNaN;
   std::vector<double> v(x.begin(), x.end());
   std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
+  return quantile_sorted(v, q);
+}
+
+double quantile_sorted(std::span<const double> sorted, double q) noexcept {
+  if (sorted.empty()) return kNaN;
+  const double pos = q * static_cast<double>(sorted.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
   const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
   const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double skewness(std::span<const double> x) noexcept {

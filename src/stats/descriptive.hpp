@@ -26,6 +26,9 @@ double range(std::span<const double> x) noexcept;
 double median(std::span<const double> x);
 /// Linear-interpolated quantile, q in [0,1] (numpy 'linear' method).
 double quantile(std::span<const double> x, double q);
+/// `quantile` of an already ascending-sorted series: the same interpolation
+/// without the sort, so callers reading several quantiles sort once.
+double quantile_sorted(std::span<const double> sorted, double q) noexcept;
 /// Fisher skewness (g1); NaN when stddev is ~0.
 double skewness(std::span<const double> x) noexcept;
 /// Excess kurtosis (g2); NaN when stddev is ~0.

@@ -35,9 +35,12 @@ inline std::string freeze_bundle(const ServingFixture& f,
   return ss.str();
 }
 
-// Never freed: the fixture lives for the whole test binary.
-inline ServingFixture* train_serving_fixture() {
+// Never freed: the fixture lives for the whole test binary. `cfg` picks the
+// experiment (tiny_config() is MVTS; a TSFRESH variant exercises the other
+// extractor's serving plans).
+inline ServingFixture* train_serving_fixture(DatasetConfig cfg = tiny_config()) {
   auto* f = new ServingFixture;
+  f->cfg = cfg;
   f->data = build_experiment_data(f->cfg);
   f->split = make_split(f->data, f->cfg.test_fraction, 5);
   f->prepared = prepare_split(f->data, f->split, f->cfg.select_k);

@@ -114,6 +114,25 @@ TEST(FleetRouting, RepeatWindowsStickAndTrafficSpreadsAcrossReplicas) {
   EXPECT_EQ(served_sum, e.windows.size());
 }
 
+TEST(FleetRouting, DefaultSeedRingBalancesAcrossReplicas) {
+  // A default-config fleet (seed 0) must split distinct windows roughly
+  // evenly: with replica ring streams that are shifts of one another, the
+  // lowest replica id owned almost the whole ring.
+  const ServingFixture& e = env();
+  ServingFleet fleet(make_replicas(3, e.bundle_a), FleetConfig{});
+  std::vector<std::size_t> routed(3, 0);
+  Matrix w(4, 3, 0.0);
+  const int windows = 3000;
+  for (int i = 0; i < windows; ++i) {
+    w(0, 0) = static_cast<double>(i);  // 3000 distinct contents
+    ++routed[fleet.preferred_replica(w)];
+  }
+  for (std::size_t r = 0; r < routed.size(); ++r) {
+    EXPECT_GE(routed[r], static_cast<std::size_t>(windows / 5))
+        << "replica " << r << " got " << routed[r] << " of " << windows;
+  }
+}
+
 TEST(FleetRouting, RoundRobinCyclesThroughReplicas) {
   const ServingFixture& e = env();
   FleetConfig config;

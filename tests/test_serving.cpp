@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -273,8 +275,9 @@ TEST(ArchiveReader, ErrorNamesTheOffendingOffset) {
 
 // ----------------------------------------------------- DiagnosisService ---
 
-TEST(DiagnosisService, BitIdenticalToOfflinePipeline) {
-  const ServingFixture& e = env();
+// Serves fresh windows through `e`'s random-forest bundle and checks every
+// probability against the offline pipeline bit for bit.
+void expect_service_matches_offline(const ServingFixture& e) {
   const std::vector<Sample> samples = fresh_samples(e, 4, 777);
   std::vector<Matrix> windows;
   for (const Sample& s : samples) windows.push_back(s.series);
@@ -306,6 +309,21 @@ TEST(DiagnosisService, BitIdenticalToOfflinePipeline) {
   EXPECT_EQ(s.windows, windows.size());
   EXPECT_EQ(s.cache_misses, windows.size());  // all distinct, cold cache
   EXPECT_GT(s.windows_per_second(), 0.0);
+}
+
+TEST(DiagnosisService, BitIdenticalToOfflinePipeline) {
+  expect_service_matches_offline(env());
+}
+
+TEST(DiagnosisService, BitIdenticalToOfflinePipelineOnATsfreshBundle) {
+  static const ServingFixture* tsfresh = [] {
+    DatasetConfig cfg = tiny_config();
+    cfg.extractor = ExtractorKind::Tsfresh;
+    return train_serving_fixture(cfg);
+  }();
+  ASSERT_EQ(bundle_from_bytes(tsfresh->bundle_a).features.extractor,
+            ExtractorKind::Tsfresh);
+  expect_service_matches_offline(*tsfresh);
 }
 
 TEST(DiagnosisService, CachesRepeatedWindows) {
@@ -378,6 +396,72 @@ TEST(DiagnosisService, HashWindowDistinguishesContentAndShape) {
   EXPECT_NE(hash_window(a), hash_window(b));
   const Matrix flat = Matrix::from_rows({{1.0, 2.0, 3.0, 4.0}});
   EXPECT_NE(hash_window(a), hash_window(flat));
+}
+
+TEST(DiagnosisService, HashWindowSeesShapeBeyondTheBytes) {
+  // Same cells in the same memory order, different shapes.
+  const std::vector<double> cells{1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+                                  7.0, 8.0, 9.0, 10.0, 11.0, 12.0};
+  const auto shaped = [&](std::size_t rows, std::size_t cols) {
+    Matrix m(rows, cols);
+    std::copy(cells.begin(), cells.end(), m.data());
+    return hash_window(m);
+  };
+  const std::uint64_t h2x6 = shaped(2, 6);
+  EXPECT_NE(h2x6, shaped(6, 2));
+  EXPECT_NE(h2x6, shaped(3, 4));
+  EXPECT_NE(h2x6, shaped(12, 1));
+  EXPECT_NE(shaped(3, 4), shaped(4, 3));
+  EXPECT_NE(hash_window(Matrix(0, 3)), hash_window(Matrix(3, 0)));
+}
+
+TEST(DiagnosisService, HashWindowHashesNaNsByPayload) {
+  const auto with_bits = [](std::uint64_t bits) {
+    Matrix m(3, 5, 1.5);
+    std::memcpy(&m(1, 2), &bits, sizeof(bits));
+    return m;
+  };
+  const std::uint64_t quiet = 0x7FF8000000000000ULL;
+  const std::uint64_t payload = 0x7FF8000000000123ULL;
+  const std::uint64_t negative = 0xFFF8000000000000ULL;
+  ASSERT_TRUE(std::isnan(with_bits(payload)(1, 2)));
+  EXPECT_EQ(hash_window(with_bits(quiet)), hash_window(with_bits(quiet)));
+  EXPECT_NE(hash_window(with_bits(quiet)), hash_window(with_bits(payload)));
+  EXPECT_NE(hash_window(with_bits(quiet)), hash_window(with_bits(negative)));
+  EXPECT_NE(hash_window(with_bits(payload)),
+            hash_window(with_bits(negative)));
+}
+
+TEST(DiagnosisService, HashWindowAvalanchesEverySingleBitFlip) {
+  // Flipping any one bit of any cell flips about half the hash bits, so
+  // consistent-hash routing and the cache key spread near-identical
+  // windows (e.g. the sign of one cell) over the whole 64-bit space.
+  Matrix base(7, 5);
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    base.data()[i] = 100.0 + 0.37 * static_cast<double>(i);
+  }
+  const std::uint64_t h0 = hash_window(base);
+  std::size_t total = 0;
+  std::size_t flips = 0;
+  int fewest = 64;
+  for (const std::size_t cell : {std::size_t{0}, std::size_t{17},
+                                 base.size() - 1}) {
+    for (int bit = 0; bit < 64; ++bit) {
+      Matrix m = base;
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, m.data() + cell, sizeof(bits));
+      bits ^= std::uint64_t{1} << bit;
+      std::memcpy(m.data() + cell, &bits, sizeof(bits));
+      const int changed = std::popcount(h0 ^ hash_window(m));
+      total += static_cast<std::size_t>(changed);
+      fewest = std::min(fewest, changed);
+      ++flips;
+    }
+  }
+  const double mean = static_cast<double>(total) / static_cast<double>(flips);
+  EXPECT_GT(mean, 28.0);
+  EXPECT_LT(mean, 36.0);
+  EXPECT_GE(fewest, 14);
 }
 
 // --------------------------------------------------------- ServingStats ---
