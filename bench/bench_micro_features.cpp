@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "features/extractor.hpp"
 #include "stats/entropy.hpp"
+#include "stats/fft.hpp"
 #include "stats/welch.hpp"
 
 namespace {
@@ -120,6 +121,16 @@ void BM_ApproximateEntropy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproximateEntropy)->Arg(64)->Arg(128)->Arg(256);
+
+// fft_real of a 52-point series (one Volta serving window's metric
+// column, padded to 64) and of a 600-point run (padded to 1024).
+void BM_FftReal(benchmark::State& state) {
+  const auto x = random_series(static_cast<std::size_t>(state.range(0)), 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stats::fft_real(x));
+  }
+}
+BENCHMARK(BM_FftReal)->Arg(52)->Arg(600);
 
 void BM_WelchPsd(benchmark::State& state) {
   const auto x = random_series(static_cast<std::size_t>(state.range(0)), 5);

@@ -35,6 +35,7 @@
 # repeats of the fleet stats-snapshot consistency test, then a
 # ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
 # tree training incl. the shared BinnedMatrix, active-learning loop, the
+# per-thread FFT plan / Hann window / feature scratch caches, the
 # diagnosis service, its overload-safe host, and the replicated fleet)
 # to catch races in the parallel training/scoring/serving paths.
 set -euo pipefail
@@ -107,18 +108,20 @@ cmake --build build-asan -j"$(nproc)" --target \
   --gtest_filter=Fleet.StatsSnapshotsStayConsistentUnderLoad --gtest_repeat=20
 
 echo
-echo "== tsan: thread pool + tree training + active learning + serving + fleet + streaming =="
+echo "== tsan: thread pool + tree training + active learning + feature caches + serving + fleet + streaming =="
 cmake -B build-tsan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" > /dev/null
 cmake --build build-tsan -j"$(nproc)" \
   --target test_thread_pool test_binning test_ml_trees test_compiled_tree \
-  test_ml_tools test_active test_active_ext test_serving \
-  test_service_host test_fleet test_streaming test_wire > /dev/null
+  test_ml_tools test_active test_active_ext test_stats_spectral \
+  test_feature_plan test_serving test_service_host test_fleet \
+  test_streaming test_wire > /dev/null
 for t in test_thread_pool test_binning test_ml_trees test_compiled_tree \
-         test_ml_tools test_active test_active_ext test_serving \
-         test_service_host test_fleet test_streaming test_wire; do
+         test_ml_tools test_active test_active_ext test_stats_spectral \
+         test_feature_plan test_serving test_service_host test_fleet \
+         test_streaming test_wire; do
   echo "-- $t (tsan)"
   ./build-tsan/tests/"$t"
 done

@@ -86,15 +86,13 @@ void FeaturePlan::run(std::span<const double> x, std::span<double> out,
     view.sorted_second = scratch.sorted_second;
   }
   if (needs_ & kNeedMean) view.mean = stats::mean(x);
-  std::vector<std::complex<double>> spectrum;
   if (needs_ & kNeedSpectrum) {
-    spectrum = stats::fft_real(x);
-    view.spectrum = spectrum;
+    stats::fft_real(x, scratch.spectrum);
+    view.spectrum = scratch.spectrum;
   }
-  stats::WelchResult psd;
   if (needs_ & kNeedPsd) {
-    psd = stats::welch_psd(x, /*segment_length=*/64);
-    view.psd = &psd;
+    stats::welch_psd(x, /*segment_length=*/64, /*fs=*/1.0, scratch.psd);
+    view.psd = &scratch.psd;
   }
   if (needs_ & kNeedDecimated) {
     view.decimated = decimate(x, table_->entropy_cap, scratch.decimated);

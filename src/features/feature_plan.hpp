@@ -87,13 +87,15 @@ FeatureDef quantile_feature(std::string name, double q);
 /// trend_slope, trend_intercept, trend_rvalue, trend_stderr.
 std::vector<FeatureDef> trend_features();
 
-/// Per-thread buffers for the copied intermediates; they keep their
-/// capacity across series, so a warm plan run does not allocate them.
+/// Per-thread buffers for the intermediates; they keep their capacity
+/// across series, so a warm plan run does not allocate them.
 struct FeatureScratch {
   std::vector<double> sorted;
   std::vector<double> sorted_first;
   std::vector<double> sorted_second;
   std::vector<double> decimated;
+  std::vector<std::complex<double>> spectrum;
+  stats::WelchResult psd;
 };
 
 class FeaturePlan {

@@ -1,5 +1,6 @@
 #include "features/tsfresh.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 
@@ -41,6 +42,45 @@ double index_mass_quantile(std::span<const double> x, double q) {
   }
   return 1.0;
 }
+
+// Equal-value runs of a NaN-free ascending series: how many distinct values
+// it holds and how many of them occur more than once. Values are equal
+// under ==, as std::unordered_map<double> keys them, so ±0 are one value.
+struct ValueRuns {
+  std::size_t distinct = 0;
+  std::size_t repeated = 0;
+};
+
+ValueRuns value_runs(std::span<const double> sorted) noexcept {
+  ValueRuns runs;
+  for (std::size_t i = 0; i < sorted.size();) {
+    std::size_t j = i + 1;
+    while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+    ++runs.distinct;
+    if (j - i > 1) ++runs.repeated;
+    i = j;
+  }
+  return runs;
+}
+
+// The map keys every NaN apart, which runs in a sorted copy cannot
+// reproduce: a series holding a NaN takes the stats:: map pass.
+bool holds_nan(std::span<const double> x) noexcept {
+  return std::any_of(x.begin(), x.end(),
+                     [](double v) { return std::isnan(v); });
+}
+
+// symmetry_looking(x, r), |mean - median| < r * range, with the median
+// read off the shared sorted copy.
+FeatureDef symmetry_feature(std::string name, double r) {
+  return {std::move(name), kNeedSorted | kNeedMean, [r](const SeriesView& s) {
+            return std::abs(s.mean - quantile_sorted(s.sorted, 0.5)) <
+                           r * range(s.x)
+                       ? 1.0
+                       : 0.0;
+          }};
+}
+
 FeatureTable tsfresh_table(const TsfreshConfig& config) {
   ALBA_CHECK(config.acf_lags >= 1 && config.pacf_lags >= 1);
   ALBA_CHECK(config.fft_coeffs >= 1 && config.psd_bins >= 1);
@@ -105,15 +145,26 @@ FeatureTable tsfresh_table(const TsfreshConfig& config) {
   }
 
   // --- recurrence / duplicates / symmetry ---
-  f.push_back(on_series("has_duplicate", has_duplicate));
+  // has_duplicate and perc_reoccurring count equal-value runs in the sorted
+  // copy; sum_reoccurring keeps its map pass, which sums in map order.
+  f.push_back({"has_duplicate", kNeedSorted, [](const SeriesView& s) {
+                 if (holds_nan(s.x)) return has_duplicate(s.x) ? 1.0 : 0.0;
+                 return value_runs(s.sorted).repeated > 0 ? 1.0 : 0.0;
+               }});
   f.push_back(on_series("has_duplicate_max", has_duplicate_max));
   f.push_back(on_series("has_duplicate_min", has_duplicate_min));
   f.push_back(on_series("sum_reoccurring", sum_of_reoccurring_values));
-  f.push_back(
-      on_series("perc_reoccurring", percentage_of_reoccurring_datapoints));
+  f.push_back({"perc_reoccurring", kNeedSorted, [](const SeriesView& s) {
+                 if (holds_nan(s.x)) {
+                   return percentage_of_reoccurring_datapoints(s.x);
+                 }
+                 const ValueRuns runs = value_runs(s.sorted);
+                 return static_cast<double>(runs.repeated) /
+                        static_cast<double>(runs.distinct);
+               }});
   f.push_back(with_param("large_std_r025", large_standard_deviation, 0.25));
-  f.push_back(with_param("symmetry_r005", symmetry_looking, 0.05));
-  f.push_back(with_param("symmetry_r025", symmetry_looking, 0.25));
+  f.push_back(symmetry_feature("symmetry_r005", 0.05));
+  f.push_back(symmetry_feature("symmetry_r025", 0.25));
 
   // --- autocorrelation family ---
   for (std::size_t lag = 1; lag <= config.acf_lags; ++lag) {

@@ -1,15 +1,51 @@
 #include "stats/welch.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <complex>
 
 #include "common/error.hpp"
 #include "stats/fft.hpp"
 
 namespace alba::stats {
 
+namespace {
+
+// Hann window of one segment length and its power sum.
+struct HannWindow {
+  std::vector<double> window;
+  double power = 0.0;
+};
+
+// Windows are built on the first use of a (power-of-two) segment length
+// and kept per thread, so concurrent estimates share nothing.
+const HannWindow& hann_for(std::size_t seg) {
+  thread_local std::array<HannWindow, 64> windows;
+  HannWindow& w = windows[static_cast<std::size_t>(std::countr_zero(seg))];
+  if (w.window.empty()) {
+    w.window.resize(seg);
+    for (std::size_t i = 0; i < seg; ++i) {
+      w.window[i] = 0.5 - 0.5 * std::cos(2.0 * M_PI * static_cast<double>(i) /
+                                         static_cast<double>(seg));
+      w.power += w.window[i] * w.window[i];
+    }
+  }
+  return w;
+}
+
+}  // namespace
+
 WelchResult welch_psd(std::span<const double> signal,
                       std::size_t segment_length, double fs) {
+  WelchResult result;
+  welch_psd(signal, segment_length, fs, result);
+  return result;
+}
+
+void welch_psd(std::span<const double> signal, std::size_t segment_length,
+               double fs, WelchResult& result) {
   ALBA_CHECK(!signal.empty()) << "welch_psd of empty signal";
   ALBA_CHECK(fs > 0.0);
 
@@ -30,16 +66,10 @@ WelchResult welch_psd(std::span<const double> signal,
   const std::size_t step = std::max<std::size_t>(1, seg / 2);  // 50% overlap
   const std::size_t nbins = seg / 2 + 1;
 
-  // Hann window and its normalization.
-  std::vector<double> window(seg);
-  double win_power = 0.0;
-  for (std::size_t i = 0; i < seg; ++i) {
-    window[i] = 0.5 - 0.5 * std::cos(2.0 * M_PI * static_cast<double>(i) /
-                                     static_cast<double>(seg));
-    win_power += window[i] * window[i];
-  }
+  const HannWindow& hann = hann_for(seg);
+  const std::vector<double>& window = hann.window;
+  const double win_power = hann.power;
 
-  WelchResult result;
   result.frequencies.resize(nbins);
   result.power.assign(nbins, 0.0);
   for (std::size_t k = 0; k < nbins; ++k) {
@@ -48,7 +78,8 @@ WelchResult welch_psd(std::span<const double> signal,
   }
 
   std::size_t nsegments = 0;
-  std::vector<std::complex<double>> buf(seg);
+  thread_local std::vector<std::complex<double>> buf;
+  buf.resize(seg);
   for (std::size_t start = 0; start + seg <= signal.size(); start += step) {
     // Detrend (mean removal) per segment, as scipy does by default.
     double seg_mean = 0.0;
@@ -81,7 +112,6 @@ WelchResult welch_psd(std::span<const double> signal,
 
   const double inv = 1.0 / static_cast<double>(nsegments);
   for (auto& pwr : result.power) pwr *= inv;
-  return result;
 }
 
 double spectral_centroid(const WelchResult& psd) noexcept {

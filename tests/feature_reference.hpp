@@ -2,7 +2,9 @@
 // MVTS and TSFRESH extraction bodies as they stood before features became
 // table entries run by a FeaturePlan, kept verbatim (one straight-line
 // function each, every feature through its own stats:: call) so the
-// table-driven path can be checked against them bit for bit.
+// table-driven path can be checked against them bit for bit. The FFT,
+// Welch and ACF-family calls go to the frozen pre-optimisation copies in
+// spectral_reference.hpp, so a change in their bits fails here too.
 #pragma once
 
 #include <cmath>
@@ -12,6 +14,7 @@
 
 #include "common/error.hpp"
 #include "features/tsfresh.hpp"
+#include "spectral_reference.hpp"
 #include "stats/autocorr.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/entropy.hpp"
@@ -213,11 +216,11 @@ inline void tsfresh_extract(const TsfreshConfig& config,
   out[i++] = symmetry_looking(x, 0.25) ? 1.0 : 0.0;
 
   for (std::size_t lag = 1; lag <= config.acf_lags; ++lag) {
-    out[i++] = autocorrelation(x, lag);
+    out[i++] = reference::autocorrelation(x, lag);
   }
-  out[i++] = agg_autocorrelation_mean_abs(x, config.acf_lags);
+  out[i++] = reference::agg_autocorrelation_mean_abs(x, config.acf_lags);
   for (std::size_t lag = 1; lag <= config.pacf_lags; ++lag) {
-    out[i++] = partial_autocorrelation(x, lag);
+    out[i++] = reference::partial_autocorrelation(x, lag);
   }
 
   const std::vector<double> xd = decimate(x, config.entropy_cap);
@@ -230,7 +233,7 @@ inline void tsfresh_extract(const TsfreshConfig& config,
     out[i++] = time_reversal_asymmetry(x, lag);
   }
 
-  const auto spectrum = fft_real(x);
+  const auto spectrum = reference::fft_real(x);
   for (std::size_t k = 1; k <= config.fft_coeffs; ++k) {
     const std::complex<double> c =
         k < spectrum.size() ? spectrum[k] : std::complex<double>(0.0, 0.0);
@@ -239,7 +242,7 @@ inline void tsfresh_extract(const TsfreshConfig& config,
     out[i++] = c.imag();
   }
 
-  const WelchResult psd = welch_psd(x, 64);
+  const WelchResult psd = reference::welch_psd(x, 64);
   for (std::size_t b = 0; b < config.psd_bins; ++b) {
     const std::size_t nb = psd.power.size();
     const std::size_t begin = b * nb / config.psd_bins;

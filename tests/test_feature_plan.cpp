@@ -4,14 +4,20 @@
 // for bit, on every class of series the pipeline feeds them: clean,
 // NaN-repaired, constant, stuck-at and counter-reset faulted, ±0 ties at
 // the extremes, minimum length, and longer than the entropy cap (so
-// ApEn/SampEn decimate).
+// ApEn/SampEn decimate). The recurrence and symmetry entries, which read
+// the sorted copy, are also checked against their stats:: calls on raw
+// NaN, ±inf and tied series; and a warm spectral plan run must not
+// allocate (this file counts operator new per thread).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <limits>
+#include <new>
 #include <span>
 #include <string>
 #include <utility>
@@ -23,6 +29,27 @@
 #include "features/mvts.hpp"
 #include "features/preprocessing.hpp"
 #include "features/tsfresh.hpp"
+#include "stats/descriptive.hpp"
+
+namespace alba {
+namespace {
+// Calls of the global operator new on this thread.
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+}  // namespace alba
+
+// Counting replacements: malloc/free underneath, so GCC's new/delete
+// pairing check does not apply to them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  ++alba::t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace alba {
 namespace {
@@ -227,6 +254,99 @@ TEST(FeaturePlan, NamesComeFromTheTable) {
   EXPECT_EQ(ts.name(), "tsfresh");
   EXPECT_EQ(ts.feature_names().front(), "sum");
   EXPECT_EQ(ts.feature_names().back(), "index_mass_q75");
+}
+
+std::size_t index_of(const FeatureExtractor& ex, const std::string& name) {
+  const auto& names = ex.feature_names();
+  const auto it = std::find(names.begin(), names.end(), name);
+  ALBA_CHECK(it != names.end()) << "no feature " << name;
+  return static_cast<std::size_t>(it - names.begin());
+}
+
+TEST(FeaturePlan, RecurrenceAndSymmetryEntriesMatchTheirStatsCalls) {
+  // has_duplicate / perc_reoccurring count equal-value runs in the sorted
+  // copy and symmetry_* read its median; each must equal its stats:: call.
+  // Raw series with NaNs (never through interpolate_nans) take the map
+  // fallback: std::unordered_map keys every NaN apart.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<NamedSeries> cases;
+  for (NamedSeries& s : series_classes()) {
+    if (s.x.size() >= 8) cases.push_back(std::move(s));
+  }
+  std::vector<double> raw = noisy(52, 7);
+  for (const std::size_t i : {0, 5, 6, 30, 51}) raw[i] = kNaN;
+  cases.push_back({"raw_nan", raw});
+  cases.push_back({"raw_nan_with_ties", {1, kNaN, 2, kNaN, 2, 3, kNaN, 4}});
+  cases.push_back({"all_nan", std::vector<double>(8, kNaN)});
+  cases.push_back({"nan_and_infinities",
+                   {kInf, kNaN, -kInf, kInf, 0.0, -0.0, kNaN, 5.0}});
+  cases.push_back({"infinities", {kInf, -kInf, kInf, 1, 2, -kInf, 3, 4}});
+  cases.push_back({"signed_zero_ties", {0.0, -0.0, 1, 2, 3, -0.0, 4, 5}});
+  cases.push_back({"all_equal", std::vector<double>(8, 7.5)});
+  std::vector<double> distinct(52);
+  for (std::size_t i = 0; i < distinct.size(); ++i) {
+    distinct[i] = 1.5 * static_cast<double>((i * 17) % 52);
+  }
+  cases.push_back({"all_distinct", distinct});
+
+  const TsfreshExtractor ts;
+  const std::vector<std::string> names{"has_duplicate", "perc_reoccurring",
+                                       "symmetry_r005", "symmetry_r025"};
+  std::vector<std::size_t> indices;
+  for (const std::string& name : names) indices.push_back(index_of(ts, name));
+  const FeaturePlan together = ts.plan(indices);
+  FeatureScratch scratch;
+  for (const NamedSeries& s : cases) {
+    const std::vector<double> want{
+        stats::has_duplicate(s.x) ? 1.0 : 0.0,
+        stats::percentage_of_reoccurring_datapoints(s.x),
+        stats::symmetry_looking(s.x, 0.05) ? 1.0 : 0.0,
+        stats::symmetry_looking(s.x, 0.25) ? 1.0 : 0.0};
+    std::vector<double> got(indices.size());
+    together.run(s.x, got, scratch);
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      expect_same_bits(got[k], want[k], s.name + " " + names[k]);
+      std::vector<double> alone(1);
+      ts.plan({indices[k]}).run(s.x, alone, scratch);
+      expect_same_bits(alone[0], want[k], s.name + " alone " + names[k]);
+    }
+  }
+}
+
+TEST(FeaturePlan, WarmSpectralPlanRunAllocatesNothing) {
+  // The FFT spectrum, the Welch PSD, the sorted copy and the ACF family:
+  // once every series shape has been seen, their buffers, FFT plans and
+  // Hann windows are all warm.
+  const TsfreshExtractor ts;
+  std::vector<std::size_t> indices;
+  for (std::size_t i = 0; i < ts.num_features(); ++i) {
+    const std::string& name = ts.feature_names()[i];
+    for (const char* prefix :
+         {"fft_", "welch_", "spectral_centroid", "dominant_freq",
+          "has_duplicate", "perc_reoccurring", "symmetry_", "median", "iqr",
+          "quantile_", "acf_", "agg_acf", "pacf_"}) {
+      if (name.starts_with(prefix)) {
+        indices.push_back(i);
+        break;
+      }
+    }
+  }
+  const FeaturePlan plan = ts.plan(indices);
+  std::vector<double> out(plan.size());
+  FeatureScratch scratch;
+  const std::vector<std::vector<double>> series{noisy(203, 8), noisy(52, 9),
+                                                noisy(8, 10)};
+  for (const auto& x : series) plan.run(x, out, scratch);
+
+  const std::size_t sanity = t_allocations;
+  { const std::vector<double> counted(3); }
+  ASSERT_EQ(t_allocations, sanity + 1) << "operator new is not counted";
+  for (const auto& x : series) {
+    const std::size_t before = t_allocations;
+    plan.run(x, out, scratch);
+    EXPECT_EQ(t_allocations - before, 0u) << x.size() << "-point series";
+  }
 }
 
 }  // namespace

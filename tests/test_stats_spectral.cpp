@@ -1,11 +1,21 @@
 // Tests for FFT, Welch PSD, entropies, autocorrelation, regression,
-// chi-square scoring, and histograms.
+// chi-square scoring, and histograms. The FFT, Welch and ACF-family kernels
+// are also checked bit for bit against their frozen pre-optimisation
+// bodies (spectral_reference.hpp), serially and on pool threads at once.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "linalg/matrix.hpp"
+#include "spectral_reference.hpp"
 #include "stats/autocorr.hpp"
 #include "stats/chi2.hpp"
 #include "stats/entropy.hpp"
@@ -123,6 +133,178 @@ TEST(Welch, SpectralCentroidWithinNyquist) {
   EXPECT_LE(c, 0.5);
 }
 
+// ------------------------------------------ bit identity vs reference ---
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Bit-for-bit equality, zero signs included, except that a NaN only has
+// to meet a NaN. When two NaNs meet in an x86 add or multiply the result is
+// the first operand's, and which operand comes first is the register
+// allocator's choice, not the source's: the old kernels built as a library
+// already differ in NaN sign from these same bodies inlined here.
+void expect_same_bits(double got, double want, const std::string& what) {
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << what << ": " << got << " vs reference NaN";
+    return;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << what << ": " << got << " vs reference " << want;
+}
+
+void expect_same_bits(std::span<const std::complex<double>> got,
+                      std::span<const std::complex<double>> want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::string at = what + " [" + std::to_string(i) + "]";
+    expect_same_bits(got[i].real(), want[i].real(), at + ".re");
+    expect_same_bits(got[i].imag(), want[i].imag(), at + ".im");
+  }
+}
+
+// With probability `special`, one of the values a transform must treat
+// exactly as before: NaN, ±inf, ±0, a subnormal, or a value so large that
+// products overflow (so inf·0 makes NaNs and std::complex's NaN recovery
+// runs); otherwise an ordinary value.
+double awkward_value(Rng& rng, double special) {
+  if (rng.uniform() >= special) return rng.normal(0.0, 100.0);
+  const double sign = rng.uniform() < 0.5 ? -1.0 : 1.0;
+  switch (rng.uniform_index(5)) {
+    case 0: return std::numeric_limits<double>::quiet_NaN();
+    case 1: return sign * kInf;
+    case 2: return sign * 0.0;
+    case 3:
+      return sign * std::numeric_limits<double>::denorm_min() *
+             rng.uniform(1.0, 1e6);
+    default: return sign * rng.uniform(0.5, 1.0) * 1e308;
+  }
+}
+
+// Special-value densities: none, about one per series, a few, most.
+constexpr double kSpecialShares[] = {0.0, 0.01, 0.1, 0.6};
+
+TEST(FftBits, InPlaceMatchesReferenceOnAwkwardInputs) {
+  Rng rng(11);
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
+    std::vector<std::vector<std::complex<double>>> inputs;
+    for (const double special : kSpecialShares) {
+      for (int trial = 0; trial < 6; ++trial) {
+        std::vector<std::complex<double>> data(n);
+        for (auto& c : data) {
+          // Real inputs (as fft_real feeds) and fully complex ones.
+          c = {awkward_value(rng, special),
+               trial % 2 ? awkward_value(rng, special) : 0.0};
+        }
+        inputs.push_back(data);
+      }
+    }
+    if (n >= 2) {
+      // (inf, inf) · (1, 0) is (NaN, NaN) by the textbook products; C99
+      // Annex G (GCC's __muldc3) recovers (inf, inf).
+      std::vector<std::complex<double>> data(n, {1.0, -2.0});
+      data[n / 2] = {kInf, kInf};
+      data[n - 1] = {-kInf, kInf};
+      inputs.push_back(data);
+    }
+    for (const auto& data : inputs) {
+      for (const bool inverse : {false, true}) {
+        auto got = data;
+        auto want = data;
+        fft_inplace(got, inverse);
+        reference::fft_inplace(want, inverse);
+        expect_same_bits(got, want,
+                         "n=" + std::to_string(n) +
+                             (inverse ? " inverse" : " forward"));
+      }
+    }
+  }
+}
+
+TEST(FftBits, RealSpectrumMatchesReferenceForEveryPaddedLength) {
+  Rng rng(12);
+  std::vector<std::complex<double>> reused;
+  for (std::size_t n = 1; n <= 600; n += (n < 80 ? 1 : 37)) {
+    for (const double special : kSpecialShares) {
+      std::vector<double> x(n);
+      for (auto& v : x) v = awkward_value(rng, special);
+      const auto want = reference::fft_real(x);
+      expect_same_bits(fft_real(x), want, "n=" + std::to_string(n));
+      // The into-buffer form, on a buffer left longer by a larger series.
+      fft_real(x, reused);
+      expect_same_bits(reused, want, "reused n=" + std::to_string(n));
+    }
+  }
+}
+
+void expect_same_psd(const WelchResult& got, const WelchResult& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.frequencies.size(), want.frequencies.size()) << what;
+  ASSERT_EQ(got.power.size(), want.power.size()) << what;
+  for (std::size_t k = 0; k < got.power.size(); ++k) {
+    const std::string at = what + " bin " + std::to_string(k);
+    expect_same_bits(got.frequencies[k], want.frequencies[k], at + " freq");
+    expect_same_bits(got.power[k], want.power[k], at + " power");
+  }
+}
+
+TEST(WelchBits, MatchesReferenceAcrossLengthsAndSegments) {
+  // Length 1 is the only one whose segment (2 points) exceeds the signal:
+  // the zero-padded single-periodogram fallback.
+  Rng rng(13);
+  WelchResult reused;
+  for (std::size_t n = 1; n <= 600; n += (n < 80 ? 1 : 13)) {
+    for (const std::size_t seg : {8, 64, 256}) {
+      const double special = kSpecialShares[n % 4];
+      std::vector<double> x(n);
+      for (auto& v : x) v = awkward_value(rng, special);
+      const double fs = n % 3 ? 1.0 : 2.5;
+      const WelchResult want = reference::welch_psd(x, seg, fs);
+      const std::string what =
+          "n=" + std::to_string(n) + " seg=" + std::to_string(seg);
+      expect_same_psd(welch_psd(x, seg, fs), want, what);
+      welch_psd(x, seg, fs, reused);
+      expect_same_psd(reused, want, what + " reused");
+    }
+  }
+}
+
+TEST(SpectralCaches, PoolThreadsMatchASerialRun) {
+  // Each task runs a size mix that differs per task, so pool threads build
+  // their FFT plans and Hann windows concurrently and in different orders.
+  constexpr std::size_t kTasks = 64;
+  const auto series = [](std::size_t t) {
+    Rng rng(100 + t);
+    std::vector<double> x(8 + (t * 37) % 593);
+    for (auto& v : x) v = rng.normal(10.0, 3.0);
+    return x;
+  };
+  struct Out {
+    std::vector<std::complex<double>> spectrum;
+    WelchResult psd;
+  };
+  const auto run = [&](std::size_t t) {
+    const std::vector<double> x = series(t);
+    Out out;
+    out.spectrum = fft_real(x);
+    out.psd = welch_psd(x, t % 2 ? 64 : 256);
+    return out;
+  };
+  std::vector<Out> serial(kTasks);
+  for (std::size_t t = 0; t < kTasks; ++t) serial[t] = run(t);
+  std::vector<Out> pooled(kTasks);
+  for (int round = 0; round < 3; ++round) {
+    global_pool().parallel_for(kTasks,
+                               [&](std::size_t t) { pooled[t] = run(t); });
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      const std::string what =
+          "round " + std::to_string(round) + " task " + std::to_string(t);
+      expect_same_bits(pooled[t].spectrum, serial[t].spectrum, what);
+      expect_same_psd(pooled[t].psd, serial[t].psd, what);
+    }
+  }
+}
+
 // -------------------------------------------------------------- entropy ---
 
 TEST(Entropy, RegularSeriesHasLowerApEnThanNoise) {
@@ -218,6 +400,37 @@ TEST(Autocorr, AggAutocorrelation) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = static_cast<double>(i % 2);
   const double agg = agg_autocorrelation_mean_abs(x, 5);
   EXPECT_GT(agg, 0.8);  // alternating → |acf| near 1 at all small lags
+}
+
+TEST(Autocorr, AcfFamilyMatchesReferenceBitForBit) {
+  Rng rng(14);
+  std::vector<std::vector<double>> cases;
+  for (std::size_t n = 2; n <= 64; n += 3) {
+    for (const double special : kSpecialShares) {
+      std::vector<double> x(n);
+      for (auto& v : x) v = awkward_value(rng, special);
+      cases.push_back(x);
+    }
+  }
+  cases.push_back(std::vector<double>(20, 2.0));  // constant: NaN lags
+  cases.push_back({1.0, 1.0 + 1e-160, 1.0, 1.0 + 1e-160});  // var ~ 0
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const std::vector<double>& x = cases[c];
+    const std::string what = "case " + std::to_string(c);
+    for (const std::size_t lags : {1, 2, 8, 70}) {
+      expect_same_bits(agg_autocorrelation_mean_abs(x, lags),
+                       reference::agg_autocorrelation_mean_abs(x, lags),
+                       what + " agg " + std::to_string(lags));
+    }
+    for (std::size_t lag = 0; lag <= 9; ++lag) {
+      expect_same_bits(autocorrelation(x, lag),
+                       reference::autocorrelation(x, lag),
+                       what + " acf " + std::to_string(lag));
+      expect_same_bits(partial_autocorrelation(x, lag),
+                       reference::partial_autocorrelation(x, lag),
+                       what + " pacf " + std::to_string(lag));
+    }
+  }
 }
 
 // ----------------------------------------------------------- regression ---
