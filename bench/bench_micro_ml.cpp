@@ -73,7 +73,19 @@ void BM_RandomForestFit(benchmark::State& state) {
     benchmark::DoNotOptimize(rf.trees().size());
   }
 }
-BENCHMARK(BM_RandomForestFit)->Arg(60)->Arg(300);
+// 275 is the AL session's final labeled-set size.
+BENCHMARK(BM_RandomForestFit)->Arg(60)->Arg(275)->Arg(300);
+
+// The exact splitter's per-fit set-up: ranking every column of the AL
+// session's final 275 × 500 training matrix.
+void BM_ForestRankEncode(benchmark::State& state) {
+  const Synth s = make_synth(275, 500, 6, 1);
+  for (auto _ : state) {
+    const RankMatrix ranks(s.x);
+    benchmark::DoNotOptimize(ranks.column(0));
+  }
+}
+BENCHMARK(BM_ForestRankEncode);
 
 void BM_RandomForestPredictPool(benchmark::State& state) {
   const Synth train = make_synth(300, 500, 6, 2);

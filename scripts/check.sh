@@ -34,7 +34,8 @@
 # exactly where silent out-of-bounds reads would hide) plus 20 isolated
 # repeats of the fleet stats-snapshot consistency test, then a
 # ThreadSanitizer build of the concurrency-sensitive tests (thread pool,
-# tree training incl. the shared BinnedMatrix, active-learning loop, the
+# tree training incl. the shared BinnedMatrix and RankMatrix and the
+# per-thread entropy memo, active-learning loop, the
 # per-thread FFT plan / Hann window / feature scratch caches, the
 # diagnosis service, its overload-safe host, and the replicated fleet)
 # to catch races in the parallel training/scoring/serving paths.
@@ -97,9 +98,9 @@ cmake --build build-asan -j"$(nproc)" --target \
   test_common test_thread_pool test_linalg test_stats_descriptive \
   test_stats_spectral test_anomaly test_telemetry test_features \
   test_feature_plan test_preprocess test_ml_metrics test_binning \
-  test_ml_trees test_compiled_tree test_ml_linear test_ml_tools \
-  test_active test_active_ext test_core test_properties test_faults \
-  test_serving test_service_host test_fleet test_streaming \
+  test_ml_trees test_tree_parity test_compiled_tree test_ml_linear \
+  test_ml_tools test_active test_active_ext test_core test_properties \
+  test_faults test_serving test_service_host test_fleet test_streaming \
   test_wire > /dev/null
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 # A torn FleetStats snapshot shows up only under contention, so one pass
@@ -114,14 +115,14 @@ cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" > /dev/null
 cmake --build build-tsan -j"$(nproc)" \
-  --target test_thread_pool test_binning test_ml_trees test_compiled_tree \
-  test_ml_tools test_active test_active_ext test_stats_spectral \
-  test_feature_plan test_serving test_service_host test_fleet \
-  test_streaming test_wire > /dev/null
-for t in test_thread_pool test_binning test_ml_trees test_compiled_tree \
-         test_ml_tools test_active test_active_ext test_stats_spectral \
-         test_feature_plan test_serving test_service_host test_fleet \
-         test_streaming test_wire; do
+  --target test_thread_pool test_binning test_ml_trees test_tree_parity \
+  test_compiled_tree test_ml_tools test_active test_active_ext \
+  test_stats_spectral test_feature_plan test_serving test_service_host \
+  test_fleet test_streaming test_wire > /dev/null
+for t in test_thread_pool test_binning test_ml_trees test_tree_parity \
+         test_compiled_tree test_ml_tools test_active test_active_ext \
+         test_stats_spectral test_feature_plan test_serving test_service_host \
+         test_fleet test_streaming test_wire; do
   echo "-- $t (tsan)"
   ./build-tsan/tests/"$t"
 done

@@ -1,7 +1,10 @@
 #include "ml/binning.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -78,6 +81,95 @@ std::size_t lower_bound_index(const double* edges, std::size_t n,
          static_cast<std::size_t>(*base < v);
 }
 
+// Copies columns [f0, f0 + bf) of row-major `x` into column-major
+// `scratch` (bf × rows), tile by tile: both column views want sequential
+// column reads instead of cache-hostile row-stride jumps.
+void transpose_block(const Matrix& x, std::size_t f0, std::size_t bf,
+                     std::vector<double>& scratch) {
+  const std::size_t rows = x.rows();
+  const std::size_t cols = x.cols();
+  scratch.resize(bf * rows);
+  for (std::size_t r0 = 0; r0 < rows; r0 += kColBlock) {
+    const std::size_t r1 = std::min(rows, r0 + kColBlock);
+    for (std::size_t i = r0; i < r1; ++i) {
+      const double* row = x.data() + i * cols + f0;
+      for (std::size_t j = 0; j < bf; ++j) scratch[j * rows + i] = row[j];
+    }
+  }
+}
+
+// Unsigned key ordered like the finite double `v` under `<`; the + 0.0
+// folds -0.0 into +0.0, so the two zeros share a key.
+std::uint64_t order_key(double v) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(v + 0.0);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+// Ranks one column: LSD radix sort of the finite values' order keys (one
+// pass per key byte, skipping bytes every key shares, such as the exponent
+// of a narrow column), then one rank per distinct key. Buffers persist
+// across the columns of a block.
+class ColumnRanker {
+ public:
+  // Writes ranks for col[0..n) and returns the number of distinct finite
+  // values.
+  std::uint32_t rank(const double* col, std::size_t n, std::uint32_t* ranks) {
+    keys_.clear();
+    rows_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (std::isfinite(col[i])) {
+        keys_.push_back(order_key(col[i]));
+        rows_.push_back(static_cast<std::uint32_t>(i));
+      } else {
+        ranks[i] = 0;
+      }
+    }
+    const std::size_t m = keys_.size();
+    if (m == 0) return 0;
+    keys_tmp_.resize(m);
+    rows_tmp_.resize(m);
+
+    std::uint32_t counts[8][256] = {};
+    for (const std::uint64_t key : keys_) {
+      for (int b = 0; b < 8; ++b) ++counts[b][(key >> (8 * b)) & 0xFF];
+    }
+    std::uint64_t* keys = keys_.data();
+    std::uint32_t* rows = rows_.data();
+    std::uint64_t* keys_out = keys_tmp_.data();
+    std::uint32_t* rows_out = rows_tmp_.data();
+    for (int b = 0; b < 8; ++b) {
+      const int shift = 8 * b;
+      if (counts[b][(keys[0] >> shift) & 0xFF] == m) continue;  // shared
+      std::uint32_t offset[256];
+      std::uint32_t total = 0;
+      for (int d = 0; d < 256; ++d) {
+        offset[d] = total;
+        total += counts[b][d];
+      }
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::uint32_t at = offset[(keys[i] >> shift) & 0xFF]++;
+        keys_out[at] = keys[i];
+        rows_out[at] = rows[i];
+      }
+      std::swap(keys, keys_out);
+      std::swap(rows, rows_out);
+    }
+
+    std::uint32_t rank = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i == 0 || keys[i] != keys[i - 1]) ++rank;
+      ranks[rows[i]] = rank;
+    }
+    return rank;
+  }
+
+ private:
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> rows_;
+  std::vector<std::uint64_t> keys_tmp_;
+  std::vector<std::uint32_t> rows_tmp_;
+};
+
 }  // namespace
 
 BinnedMatrix::BinnedMatrix(const Matrix& x, int max_bins)
@@ -96,18 +188,8 @@ BinnedMatrix::BinnedMatrix(const Matrix& x, int max_bins)
     const std::size_t f0 = blk * kColBlock;
     const std::size_t bf = std::min(kColBlock, cols_ - f0);
 
-    // Tile-transpose this block into a column-major scratch first: the
-    // matrix is row-major, and both the finite-value collection and the
-    // coding pass below want sequential column reads instead of
-    // cache-hostile row-stride jumps.
-    std::vector<double> scratch(bf * rows_);
-    for (std::size_t r0 = 0; r0 < rows_; r0 += kColBlock) {
-      const std::size_t r1 = std::min(rows_, r0 + kColBlock);
-      for (std::size_t i = r0; i < r1; ++i) {
-        const double* row = x.data() + i * cols_ + f0;
-        for (std::size_t j = 0; j < bf; ++j) scratch[j * rows_ + i] = row[j];
-      }
-    }
+    std::vector<double> scratch;
+    transpose_block(x, f0, bf, scratch);
 
     std::vector<double> finite;
     finite.reserve(rows_);
@@ -151,6 +233,31 @@ BinnedMatrix::BinnedMatrix(const Matrix& x, int max_bins)
             std::min(lower_bound_index(edges.data(), m, v), m - 1);
         codes[i] = static_cast<std::uint8_t>(1 + idx);
       }
+    }
+  });
+}
+
+RankMatrix::RankMatrix(const Matrix& x)
+    : rows_(x.rows()), cols_(x.cols()) {
+  ALBA_CHECK(rows_ < std::numeric_limits<std::uint32_t>::max())
+      << rows_ << " rows overflow 32-bit ranks";
+  ranks_.resize(rows_ * cols_);
+  num_ranks_.resize(cols_);
+
+  // Block-parallel over columns, as in BinnedMatrix: each task owns its
+  // columns' spans, so the result is schedule-independent.
+  const std::size_t n_blocks = (cols_ + kColBlock - 1) / kColBlock;
+  parallel_for(n_blocks, [&](std::size_t blk) {
+    const std::size_t f0 = blk * kColBlock;
+    const std::size_t bf = std::min(kColBlock, cols_ - f0);
+    std::vector<double> scratch;
+    transpose_block(x, f0, bf, scratch);
+
+    ColumnRanker ranker;
+    for (std::size_t j = 0; j < bf; ++j) {
+      const std::size_t f = f0 + j;
+      const double* col = scratch.data() + j * rows_;
+      num_ranks_[f] = ranker.rank(col, rows_, ranks_.data() + f * rows_) + 1;
     }
   });
 }

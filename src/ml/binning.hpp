@@ -6,7 +6,8 @@
 // stay raw-valued so prediction never touches the binned view.
 //
 // A BinnedMatrix is built once per `fit` and shared read-only across all
-// trees / boosting rounds; it never outlives training.
+// trees / boosting rounds; it never outlives training. The exact splitter's
+// counterpart, RankMatrix, replaces each value by its rank instead.
 #pragma once
 
 #include <cmath>
@@ -60,11 +61,54 @@ inline bool split_routes_right(double v, double threshold) noexcept {
           static_cast<int>(std::isfinite(v))) != 0;
 }
 
-/// Split-finding algorithm for the tree models. `Exact` (the default) sorts
-/// raw feature values at every node and is the reference implementation;
-/// `Hist` quantizes features once and scans bin histograms — near-identical
-/// accuracy at a fraction of the training cost on wide matrices.
+/// Split-finding algorithm for the tree models. `Exact` (the default) scans
+/// every distinct raw value as a cut point and is the reference
+/// implementation; `Hist` quantizes features into at most 255 bins and
+/// scans bin histograms — near-identical accuracy at a fraction of the
+/// training cost on wide matrices.
 enum class SplitAlgo { Exact, Hist };
+
+/// The exact splitter's view of a training matrix: every value replaced by
+/// its rank among its column's distinct values, so a node finds its cut
+/// points from a rank histogram instead of sorting raw values. Rank 0 holds
+/// every non-finite value (the one class `v <= t || !isfinite(v)` cannot
+/// split); finite values get ranks 1..D ascending by `<`, with -0.0 and
+/// +0.0 sharing one rank. Cuts between ranks are exactly the cuts between
+/// adjacent distinct sort keys of the sorted scan.
+///
+/// Built once per forest fit and shared read-only across the trees, like
+/// BinnedMatrix; it never outlives training. It keeps no rank → value
+/// table: a tree reads the two raw values bounding its chosen cut from the
+/// node's own rows.
+class RankMatrix {
+ public:
+  RankMatrix() noexcept = default;
+
+  /// Ranks every column of `x`, in parallel on the global pool; the result
+  /// is independent of the schedule.
+  explicit RankMatrix(const Matrix& x);
+
+  std::size_t rows() const noexcept { return rows_; }
+  std::size_t cols() const noexcept { return cols_; }
+
+  /// Ranks of feature `f` for all rows (column-major, like BinnedMatrix).
+  const std::uint32_t* column(std::size_t f) const noexcept {
+    ALBA_DCHECK(f < cols_);
+    return ranks_.data() + f * rows_;
+  }
+
+  /// One past the highest rank of feature `f`: D + 1 for D distinct finite
+  /// values (rank 0 counts whether or not any value is non-finite).
+  std::uint32_t num_ranks(std::size_t f) const noexcept {
+    return num_ranks_[f];
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<std::uint32_t> ranks_;  // column-major, cols_ × rows_
+  std::vector<std::uint32_t> num_ranks_;
+};
 
 class BinnedMatrix {
  public:

@@ -1,9 +1,9 @@
-// CART decision-tree classifier with two split finders: the exact
-// single-threaded splitter (sorts raw values at every node) and a
+// CART decision-tree classifier with two split finders: the exact one
+// (every cut between distinct values, found from per-column ranks) and a
 // histogram-based one (`SplitAlgo::Hist`) that scans quantized bin
-// histograms — see ml/binning.hpp. Per-node feature subsampling is the
-// randomness source of the forest; gini or entropy impurity (both appear
-// in the paper's Table IV grid).
+// histograms — see ml/binning.hpp for both training views. Per-node
+// feature subsampling is the randomness source of the forest; gini or
+// entropy impurity (both appear in the paper's Table IV grid).
 #pragma once
 
 #include <cstdint>
@@ -35,17 +35,20 @@ class DecisionTree final : public Classifier {
 
   void fit(const Matrix& x, std::span<const int> y) override;
 
-  /// Fits on a row subset (duplicates allowed — bootstrap sampling).
+  /// Fits on a row subset (duplicates allowed — bootstrap sampling),
+  /// building the training view its split algorithm needs for itself.
   void fit_on(const Matrix& x, std::span<const int> y,
               std::vector<std::size_t> indices);
 
-  /// Like fit_on but reuses a caller-built binned view of `x` when the
-  /// config selects `SplitAlgo::Hist` — the forest and the boosting loop
-  /// quantize once and share the result across all trees. `binned` may be
-  /// null (the tree quantizes for itself); it is ignored in Exact mode and
-  /// never retained past the call.
+  /// Like fit_on but reuses a caller-built view of `x`: the rank matrix
+  /// for `SplitAlgo::Exact`, the binned matrix for `SplitAlgo::Hist` (the
+  /// forest builds one per fit and shares it across all trees). The view
+  /// must match the config's split algorithm and is never retained past
+  /// the call.
   void fit_on(const Matrix& x, std::span<const int> y,
-              std::vector<std::size_t> indices, const BinnedMatrix* binned);
+              std::vector<std::size_t> indices, const RankMatrix& ranks);
+  void fit_on(const Matrix& x, std::span<const int> y,
+              std::vector<std::size_t> indices, const BinnedMatrix& binned);
 
   Matrix predict_proba(const Matrix& x) const override;
   Matrix predict_proba_reference(const Matrix& x) const override;
@@ -96,13 +99,22 @@ class DecisionTree final : public Classifier {
   void restore(std::vector<Node> nodes, std::vector<double> leaf_probs);
 
  private:
-  int build_node(const Matrix& x, std::span<const int> y,
-                 std::vector<std::size_t>& indices, std::size_t begin,
-                 std::size_t end, int depth, Rng& rng);
+  class CutSearch;
+  class CodeHistogram;
+
+  void start_fit(const Matrix& x, std::span<const int> y,
+                 std::span<const std::size_t> indices);
+  bool stops_at(std::span<const std::uint32_t> counts, std::size_t n,
+                int depth) const noexcept;
+  int build_node(const Matrix& x, const RankMatrix& ranks,
+                 std::span<const int> y, std::vector<std::size_t>& indices,
+                 std::size_t begin, std::size_t end, int depth, Rng& rng,
+                 CodeHistogram& hist);
   int build_node_hist(const BinnedMatrix& binned, std::span<const int> y,
                       std::vector<std::size_t>& indices, std::size_t begin,
                       std::size_t end, int depth, Rng& rng,
-                      std::vector<double>&& node_hist);
+                      std::vector<std::uint32_t>&& node_hist,
+                      CodeHistogram& hist);
   int make_leaf(std::span<const int> y,
                 std::span<const std::size_t> indices);
 

@@ -40,25 +40,28 @@ void RandomForest::fit(const Matrix& x, std::span<const int> y) {
     trees_.emplace_back(tree_config, tree_seeds[i]);
   }
 
-  // Hist mode: quantize the training matrix once and share the read-only
-  // binned view across every tree (each tree's split search stays
-  // single-threaded, so per-tree determinism is schedule-independent).
-  const BinnedMatrix binned_storage =
-      config_.split_algo == SplitAlgo::Hist ? BinnedMatrix(x) : BinnedMatrix();
-  const BinnedMatrix* binned =
-      config_.split_algo == SplitAlgo::Hist ? &binned_storage : nullptr;
-
-  parallel_for(t, [&](std::size_t i) {
-    Rng rng(tree_seeds[i] ^ 0xB0075742ULL);
-    std::vector<std::size_t> idx;
-    if (config_.bootstrap) {
-      idx = rng.bootstrap_indices(x.rows());
-    } else {
-      idx.resize(x.rows());
-      std::iota(idx.begin(), idx.end(), std::size_t{0});
-    }
-    trees_[i].fit_on(x, y, std::move(idx), binned);
-  });
+  // One read-only training view per fit, shared by every tree: the rank
+  // matrix (Exact) or the binned matrix (Hist). Each tree's split search
+  // stays single-threaded, so per-tree determinism is schedule-independent.
+  // The view is freed when fit returns.
+  const auto fit_trees = [&](const auto& view) {
+    parallel_for(t, [&](std::size_t i) {
+      Rng rng(tree_seeds[i] ^ 0xB0075742ULL);
+      std::vector<std::size_t> idx;
+      if (config_.bootstrap) {
+        idx = rng.bootstrap_indices(x.rows());
+      } else {
+        idx.resize(x.rows());
+        std::iota(idx.begin(), idx.end(), std::size_t{0});
+      }
+      trees_[i].fit_on(x, y, std::move(idx), view);
+    });
+  };
+  if (config_.split_algo == SplitAlgo::Hist) {
+    fit_trees(BinnedMatrix(x));
+  } else {
+    fit_trees(RankMatrix(x));
+  }
   recompile();
 }
 

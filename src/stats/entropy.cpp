@@ -12,27 +12,61 @@ namespace alba::stats {
 namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-// phi(m) for ApEn: mean over i of log of the fraction of j whose m-length
-// templates are within r (Chebyshev distance), self-matches included.
-double apen_phi(std::span<const double> x, std::size_t m, double r) {
-  const std::size_t n = x.size();
-  const std::size_t count = n - m + 1;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::size_t matches = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      bool ok = true;
-      for (std::size_t k = 0; k < m; ++k) {
-        if (std::abs(x[i + k] - x[j + k]) > r) {
-          ok = false;
-          break;
-        }
-      }
-      matches += ok ? 1 : 0;
-    }
-    acc += std::log(static_cast<double>(matches) / static_cast<double>(count));
+// Both matches, within r in Chebyshev distance, of templates i and j at
+// lengths m and m + 1: the (m + 1)-match extends the m-match by one point.
+struct TemplateMatch {
+  bool m;
+  bool m1;
+};
+
+TemplateMatch match_templates(std::span<const double> x, std::size_t i,
+                              std::size_t j, std::size_t m, double r,
+                              bool has_m1) {
+  for (std::size_t k = 0; k < m; ++k) {
+    if (std::abs(x[i + k] - x[j + k]) > r) return {false, false};
   }
-  return acc / static_cast<double>(count);
+  return {true, has_m1 && !(std::abs(x[i + m] - x[j + m]) > r)};
+}
+
+// phi(m) - phi(m + 1), where phi(m) is the mean over templates i of
+// log(fraction of templates j whose m-length window is within r of i's),
+// self-matches included. The match relation is symmetric, so one pass over
+// j > i counts both lengths for both templates; the self-matches are
+// added through the same predicate, and each phi sums its logs in i order.
+double apen_phi_difference(std::span<const double> x, std::size_t m,
+                           double r) {
+  const std::size_t n = x.size();
+  const std::size_t count_m = n - m + 1;  // m-length templates
+  const std::size_t count_m1 = n - m;     // (m + 1)-length templates
+  // Per-thread counts, so a warm call allocates nothing.
+  thread_local std::vector<std::size_t> matches_m;
+  thread_local std::vector<std::size_t> matches_m1;
+  matches_m.assign(count_m, 0);
+  matches_m1.assign(count_m1, 0);
+  for (std::size_t i = 0; i < count_m; ++i) {
+    const TemplateMatch self = match_templates(x, i, i, m, r, i < count_m1);
+    if (self.m) ++matches_m[i];
+    if (self.m1) ++matches_m1[i];
+    for (std::size_t j = i + 1; j < count_m; ++j) {
+      const TemplateMatch hit = match_templates(x, i, j, m, r, j < count_m1);
+      if (!hit.m) continue;
+      ++matches_m[i];
+      ++matches_m[j];
+      if (hit.m1) {
+        ++matches_m1[i];
+        ++matches_m1[j];
+      }
+    }
+  }
+  const auto phi = [](const std::vector<std::size_t>& matches) {
+    const auto count = static_cast<double>(matches.size());
+    double acc = 0.0;
+    for (const std::size_t c : matches) {
+      acc += std::log(static_cast<double>(c) / count);
+    }
+    return acc / count;
+  };
+  return phi(matches_m) - phi(matches_m1);
 }
 }  // namespace
 
@@ -42,7 +76,7 @@ double approximate_entropy(std::span<const double> x, std::size_t m,
   const double s = stddev(x);
   if (s < 1e-300) return 0.0;
   const double r = r_frac * s;
-  return apen_phi(x, m, r) - apen_phi(x, m + 1, r);
+  return apen_phi_difference(x, m, r);
 }
 
 double sample_entropy(std::span<const double> x, std::size_t m, double r_frac) {

@@ -3,8 +3,9 @@
 // table entries run by a FeaturePlan, kept verbatim (one straight-line
 // function each, every feature through its own stats:: call) so the
 // table-driven path can be checked against them bit for bit. The FFT,
-// Welch and ACF-family calls go to the frozen pre-optimisation copies in
-// spectral_reference.hpp, so a change in their bits fails here too.
+// Welch, ACF-family and approximate-entropy calls go to the frozen
+// pre-optimisation copies in spectral_reference.hpp, so a change in their
+// bits fails here too.
 #pragma once
 
 #include <cmath>
@@ -225,7 +226,7 @@ inline void tsfresh_extract(const TsfreshConfig& config,
 
   const std::vector<double> xd = decimate(x, config.entropy_cap);
   out[i++] = binned_entropy(x, 10);
-  out[i++] = approximate_entropy(xd, 2, 0.2);
+  out[i++] = reference::approximate_entropy(xd, 2, 0.2);
   out[i++] = sample_entropy(xd, 2, 0.2);
 
   for (std::size_t lag = 1; lag <= 3; ++lag) out[i++] = c3(x, lag);

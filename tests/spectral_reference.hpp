@@ -5,7 +5,9 @@
 // verbatim (every twiddle through std::complex's recurrence, every
 // butterfly through std::complex operator*, a fresh window and buffer per
 // call, the mean recomputed per lag) so the optimised kernels can be
-// checked against them bit for bit.
+// checked against them bit for bit. Approximate entropy is frozen here too,
+// as it stood before it counted both template lengths in one pass over
+// j > i: two full n² scans, one per length.
 #pragma once
 
 #include <algorithm>
@@ -222,6 +224,38 @@ inline double partial_autocorrelation(std::span<const double> x,
     phi_prev = phi_cur;
   }
   return phi_prev[lag];
+}
+
+// phi(m) for ApEn: mean over i of log of the fraction of j whose m-length
+// templates are within r (Chebyshev distance), self-matches included.
+inline double apen_phi(std::span<const double> x, std::size_t m, double r) {
+  const std::size_t n = x.size();
+  const std::size_t count = n - m + 1;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::size_t matches = 0;
+    for (std::size_t j = 0; j < count; ++j) {
+      bool ok = true;
+      for (std::size_t k = 0; k < m; ++k) {
+        if (std::abs(x[i + k] - x[j + k]) > r) {
+          ok = false;
+          break;
+        }
+      }
+      matches += ok ? 1 : 0;
+    }
+    acc += std::log(static_cast<double>(matches) / static_cast<double>(count));
+  }
+  return acc / static_cast<double>(count);
+}
+
+inline double approximate_entropy(std::span<const double> x, std::size_t m,
+                                  double r_frac) {
+  if (x.size() < m + 2) return 0.0;
+  const double s = stats::stddev(x);
+  if (s < 1e-300) return 0.0;
+  const double r = r_frac * s;
+  return apen_phi(x, m, r) - apen_phi(x, m + 1, r);
 }
 
 }  // namespace alba::reference

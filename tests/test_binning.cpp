@@ -2,15 +2,19 @@
 // (midpoints below the bin budget, quantiles above), the reserved NaN bin,
 // code/edge consistency, and bit-identical Hist training across thread-pool
 // sizes (the last via re-executing this binary with ALBA_THREADS pinned).
+// Also the exact splitter's RankMatrix: rank order, ±0 and non-finite
+// classes, constant columns.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -117,6 +121,60 @@ TEST(BinnedMatrix, RejectsBadBinBudget) {
   const Matrix x = column_matrix({1.0, 2.0});
   EXPECT_THROW(BinnedMatrix(x, 1), Error);
   EXPECT_THROW(BinnedMatrix(x, BinnedMatrix::kMaxBins + 1), Error);
+}
+
+TEST(RankMatrix, RanksFollowValueOrderWithNonFiniteAtZero) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Matrix x(7, 3);
+  const double col0[] = {2.5, -1.0, kNaN, 2.5, 0.0, -0.0, kInf};
+  for (std::size_t i = 0; i < 7; ++i) {
+    x(i, 0) = col0[i];
+    x(i, 1) = 4.0;                       // constant
+    x(i, 2) = i % 2 == 0 ? kNaN : -kInf;  // entirely non-finite
+  }
+  const RankMatrix ranks(x);
+  ASSERT_EQ(ranks.rows(), 7u);
+  ASSERT_EQ(ranks.cols(), 3u);
+  // -1 < ±0 (one rank) < 2.5; NaN and +inf share rank 0.
+  const std::vector<std::uint32_t> want{3, 1, 0, 3, 2, 2, 0};
+  EXPECT_EQ(std::vector<std::uint32_t>(ranks.column(0), ranks.column(0) + 7),
+            want);
+  EXPECT_EQ(ranks.num_ranks(0), 4u);
+  EXPECT_EQ(ranks.num_ranks(1), 2u);
+  EXPECT_EQ(std::vector<std::uint32_t>(ranks.column(1), ranks.column(1) + 7),
+            std::vector<std::uint32_t>(7, 1));
+  EXPECT_EQ(ranks.num_ranks(2), 1u);
+  EXPECT_EQ(std::vector<std::uint32_t>(ranks.column(2), ranks.column(2) + 7),
+            std::vector<std::uint32_t>(7, 0));
+}
+
+TEST(RankMatrix, RanksMatchASortAcrossSignsAndMagnitudes) {
+  // Wide-range values of both signs, with duplicates, over more rows than
+  // one radix digit covers: each rank must count the distinct values below.
+  Rng rng(17);
+  Matrix x(300, 4);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < x.cols(); ++j) {
+      const double mag = std::exp(rng.uniform(-30.0, 30.0));
+      const double v = rng.uniform() < 0.5 ? -mag : mag;
+      x(i, j) = i > 0 && i % 5 == 0 ? x(i / 2, j) : v;  // duplicates
+    }
+  }
+  const RankMatrix ranks(x);
+  for (std::size_t j = 0; j < x.cols(); ++j) {
+    std::vector<double> distinct;
+    for (std::size_t i = 0; i < x.rows(); ++i) distinct.push_back(x(i, j));
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      const auto below = static_cast<std::uint32_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), x(i, j)) -
+          distinct.begin());
+      ASSERT_EQ(ranks.column(j)[i], below + 1) << "row " << i << " col " << j;
+    }
+    EXPECT_EQ(ranks.num_ranks(j), distinct.size() + 1);
+  }
 }
 
 // ------------------------------------------- cross-pool-size identity ---

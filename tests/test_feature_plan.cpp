@@ -6,8 +6,9 @@
 // the extremes, minimum length, and longer than the entropy cap (so
 // ApEn/SampEn decimate). The recurrence and symmetry entries, which read
 // the sorted copy, are also checked against their stats:: calls on raw
-// NaN, ±inf and tied series; and a warm spectral plan run must not
-// allocate (this file counts operator new per thread).
+// NaN, ±inf and tied series; approximate entropy must equal its frozen
+// two-pass copy; and a warm spectral plan run must not allocate (this file
+// counts operator new per thread).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include "features/preprocessing.hpp"
 #include "features/tsfresh.hpp"
 #include "stats/descriptive.hpp"
+#include "stats/entropy.hpp"
 
 namespace alba {
 namespace {
@@ -314,10 +316,44 @@ TEST(FeaturePlan, RecurrenceAndSymmetryEntriesMatchTheirStatsCalls) {
   }
 }
 
+TEST(FeaturePlan, ApproximateEntropyMatchesReferenceBitForBit) {
+  // The one-pass ApEn (both template lengths counted over j > i, self-
+  // matches added) against the frozen two-pass copy, over the plan's series
+  // classes plus raw NaN, ±inf and ±0 series, at several m and r.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<NamedSeries> cases = series_classes();
+  cases.push_back({"raw_nan_with_ties", {1, kNaN, 2, kNaN, 2, 3, kNaN, 4}});
+  cases.push_back({"all_nan", std::vector<double>(8, kNaN)});
+  cases.push_back({"nan_and_infinities",
+                   {kInf, kNaN, -kInf, kInf, 0.0, -0.0, kNaN, 5.0}});
+  cases.push_back({"infinities", {kInf, -kInf, kInf, 1, 2, -kInf, 3, 4}});
+  cases.push_back({"signed_zero_ties", {0.0, -0.0, 1, 2, 3, -0.0, 4, 5}});
+  cases.push_back({"ties", {1, 1, 2, 2, 1, 1, 2, 2, 1, 1, 3, 3}});
+  for (const std::size_t m : {1, 2, 3}) {
+    std::vector<double> shortest = noisy(m + 2, 12);  // n = m + 2
+    cases.push_back({"n_eq_m_plus_2_m" + std::to_string(m), shortest});
+    shortest.pop_back();  // too short: 0 without scanning
+    cases.push_back({"n_eq_m_plus_1_m" + std::to_string(m), shortest});
+  }
+  // A negative r, where no template (bar NaN distances) matches even
+  // itself, pins the self-match predicate too.
+  for (const NamedSeries& s : cases) {
+    for (const std::size_t m : {1, 2, 3}) {
+      for (const double r : {0.2, 0.0, 0.5, -0.1}) {
+        expect_same_bits(
+            stats::approximate_entropy(s.x, m, r),
+            reference::approximate_entropy(s.x, m, r),
+            s.name + " m=" + std::to_string(m) + " r=" + std::to_string(r));
+      }
+    }
+  }
+}
+
 TEST(FeaturePlan, WarmSpectralPlanRunAllocatesNothing) {
-  // The FFT spectrum, the Welch PSD, the sorted copy and the ACF family:
-  // once every series shape has been seen, their buffers, FFT plans and
-  // Hann windows are all warm.
+  // The FFT spectrum, the Welch PSD, the sorted copy, the ACF family and
+  // ApEn's match counts: once every series shape has been seen, their
+  // buffers, FFT plans and Hann windows are all warm.
   const TsfreshExtractor ts;
   std::vector<std::size_t> indices;
   for (std::size_t i = 0; i < ts.num_features(); ++i) {
@@ -325,7 +361,7 @@ TEST(FeaturePlan, WarmSpectralPlanRunAllocatesNothing) {
     for (const char* prefix :
          {"fft_", "welch_", "spectral_centroid", "dominant_freq",
           "has_duplicate", "perc_reoccurring", "symmetry_", "median", "iqr",
-          "quantile_", "acf_", "agg_acf", "pacf_"}) {
+          "quantile_", "acf_", "agg_acf", "pacf_", "approx_entropy"}) {
       if (name.starts_with(prefix)) {
         indices.push_back(i);
         break;

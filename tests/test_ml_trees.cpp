@@ -478,6 +478,35 @@ TEST(NaNRouting, HistTreesCanIsolateNaNWithMinusInfThreshold) {
   EXPECT_DOUBLE_EQ(accuracy(y, tree.predict(x)), 1.0);
 }
 
+TEST(HistSplit, CompactScanSeesEveryBinOccupied) {
+  // Two columns of NaN plus 2000 distinct values use all 256 bins; with
+  // one feature sampled per split the root's compact scan then finds every
+  // bin occupied and keeps reading rows past the last new one.
+  constexpr std::size_t kRows = 2000;
+  Matrix x(kRows, 2);
+  std::vector<int> y;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    y.push_back(i < kRows / 2 ? 0 : 1);
+    x(i, 0) = i % 50 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                          : static_cast<double>(i);
+    x(i, 1) = i % 50 == 25 ? std::numeric_limits<double>::quiet_NaN()
+                           : static_cast<double>((i * 7) % kRows);
+  }
+  const BinnedMatrix binned(x);
+  ASSERT_EQ(binned.num_bins(0), BinnedMatrix::kMaxBins);
+  ASSERT_EQ(binned.num_bins(1), BinnedMatrix::kMaxBins);
+  TreeConfig cfg;
+  cfg.num_classes = 2;
+  cfg.max_features = 1;
+  cfg.split_algo = SplitAlgo::Hist;
+  DecisionTree tree(cfg, 3);
+  tree.fit(x, y);
+  DecisionTree again(cfg, 3);
+  again.fit(x, y);
+  EXPECT_EQ(tree.node_count(), again.node_count());
+  EXPECT_GT(accuracy(y, tree.predict(x)), 0.95);
+}
+
 TEST(HistSplit, HandlesNaNFeaturesEndToEnd) {
   // Hist routes NaN (bin 0) left at every split, consistently between
   // training and raw-value prediction.
